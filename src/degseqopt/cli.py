@@ -6,8 +6,9 @@ and mirrors it as versioned JSON under ``--json``.  Output is
 deterministic byte-for-byte for a fixed input and flag set.
 
 Exit codes: 0 success, 1 parse/usage errors, 2 domain precondition
-violations (non-graphic input, infeasible spec, ...), 3 internal
-invariant breaches (sweep mismatches, failed witness validation).
+violations (non-graphic input, infeasible spec, ...), 3 internal errors:
+invariant breaches (sweep mismatches, failed witness validation) and any
+other exception, reported like the others, never as a traceback.
 """
 
 from __future__ import annotations
@@ -23,9 +24,7 @@ from . import extremal, oracle
 from .bipartite import BipartiteDegreeSpec, build_bounded_bipartite, gale_ryser_feasible
 from .errors import (
     Infeasible,
-    InternalRepairFailure,
     InvalidSequence,
-    InvalidWitness,
     NotConnected,
     NotForestSequence,
     NotGraphic,
@@ -59,7 +58,6 @@ _PRECONDITION_ERRORS = (
     Infeasible,
     NotConnected,
 )
-_INTERNAL_ERRORS = (InternalRepairFailure, InvalidWitness, AssertionError)
 
 
 class CliParseError(Exception):
@@ -374,10 +372,10 @@ def run(request: CommandRequest) -> tuple[int, str]:
         return EXIT_PARSE, emit(_error_obj(exc), f"error: {exc}")
     except _PRECONDITION_ERRORS as exc:
         return EXIT_PRECONDITION, emit(_error_obj(exc), f"error: {exc}")
-    except _INTERNAL_ERRORS as exc:
-        return EXIT_INTERNAL, emit(_error_obj(exc), f"internal error: {exc}")
     except _PARSE_ERRORS as exc:
         return EXIT_PARSE, emit(_error_obj(exc), f"error: {exc}")
+    except Exception as exc:  # a bug, whatever its type: report it, never crash
+        return EXIT_INTERNAL, emit(_error_obj(exc), f"internal error: {exc}")
     return code, emit(payload, text)
 
 

@@ -54,7 +54,6 @@ __all__ = [
     "alpha_max",
     "gamma_min_bounded",
     "gamma_min_forest",
-    "gamma_min_forest_fastpath",
     "alpha_max_forest",
     "check_slater_bound",
 ]
@@ -355,30 +354,6 @@ def gamma_min_forest(d: DegreeSequence) -> ExtremalResult:
         achieving_k=best,
         witness=witness,
     )
-
-
-def gamma_min_forest_fastpath(d: DegreeSequence) -> ExtremalResult:
-    """Closed form for leaf-rich forest sequences.
-
-    Requires positive entries with even sum at most 2n-2 and at least as
-    many leaves as the total degree of the non-leaf vertices; then the
-    smallest forest domination number equals
-    (#degrees >= 2) + (n1 - sum of degrees >= 2) / 2, which also equals
-    both the Slater number and n - annihilation.
-    """
-    if d.n0 > 0:
-        raise PreconditionViolated(f"{d.entries} has zero entries")
-    if d.total & 1 or d.total > 2 * d.n - 2:
-        raise PreconditionViolated(f"{d.entries} is not a forest sequence")
-    n_ge2 = d.count_ge(2)
-    heavy_sum = d.prefix(n_ge2)
-    n1 = d.count_eq(1)
-    if n1 < heavy_sum:
-        raise PreconditionViolated(
-            f"needs at least {heavy_sum} leaves, sequence has {n1}"
-        )
-    value = n_ge2 + (n1 - heavy_sum) // 2
-    return ExtremalResult(ExtremalParameter.GAMMA_MIN_FOREST, value, bound_chain(d))
 
 
 def alpha_max_forest(d: DegreeSequence) -> ExtremalResult:

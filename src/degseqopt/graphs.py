@@ -2,15 +2,15 @@
 
 Vertices are 0-based internally (``u_1`` in reports corresponds to vertex 0).
 Graphs are immutable after construction; every mutation-like operation
-returns a new graph.  For n <= 64 the primary adjacency representation is
-one bitmask per vertex, which the exact solvers rely on.
+returns a new graph.  Adjacency is one frozenset of neighbors per vertex,
+so memory grows with the edge count; the exact solvers derive their own
+bitmasks from it.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable
 
 from .errors import PreconditionViolated, InvalidWitness
@@ -30,18 +30,15 @@ __all__ = [
     "witness_to_json_obj",
 ]
 
-_MASK_LIMIT = 64
-
 
 class Graph:
     """Simple undirected graph on vertices 0..n-1.
 
-    Adjacency lives in per-vertex neighbor bitmasks when n <= 64 (plus
-    derived closed-neighborhood masks); neighbor sets are always available
-    as views and agree with the masks by construction.
+    ``adjacency_sets[v]`` is the frozenset of neighbors of ``v`` and
+    ``degrees[v]`` its size.
     """
 
-    __slots__ = ("n", "_adj_sets", "_adj_masks", "__dict__")
+    __slots__ = ("n", "adjacency_sets", "degrees")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -57,83 +54,27 @@ class Graph:
                 raise ValueError(f"duplicate edge ({u}, {v})")
             sets[u].add(v)
             sets[v].add(u)
-        self._adj_sets = tuple(frozenset(s) for s in sets)
-        if n <= _MASK_LIMIT:
-            masks = [0] * n
-            for u in range(n):
-                m = 0
-                for v in sets[u]:
-                    m |= 1 << v
-                masks[u] = m
-            self._adj_masks = tuple(masks)
-        else:
-            self._adj_masks = None
-
-    @classmethod
-    def _from_masks(cls, n: int, masks: tuple[int, ...]) -> "Graph":
-        """Trusted fast constructor used by the enumeration hot path."""
-        g = cls.__new__(cls)
-        g.n = n
-        g._adj_masks = masks
-        g._adj_sets = None
-        return g
-
-    @property
-    def adjacency_masks(self) -> tuple[int, ...] | None:
-        """Per-vertex neighbor bitmasks, present when n <= 64."""
-        return self._adj_masks
-
-    @property
-    def adjacency_sets(self) -> tuple[frozenset[int], ...]:
-        if self._adj_sets is None:
-            sets = []
-            for u in range(self.n):
-                m = self._adj_masks[u]
-                s = set()
-                while m:
-                    lb = m & -m
-                    s.add(lb.bit_length() - 1)
-                    m ^= lb
-                sets.append(frozenset(s))
-            self._adj_sets = tuple(sets)
-        return self._adj_sets
-
-    def closed_neighborhood_mask(self, v: int) -> int:
-        return self._adj_masks[v] | (1 << v)
+        self.adjacency_sets = tuple(frozenset(s) for s in sets)
+        self.degrees = tuple(len(s) for s in sets)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return tuple(sorted(self.adjacency_sets[v]))
 
     def degree(self, v: int) -> int:
-        if self._adj_masks is not None:
-            return bin(self._adj_masks[v]).count("1")
-        return len(self._adj_sets[v])
-
-    @cached_property
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(self.degree(v) for v in range(self.n))
+        return self.degrees[v]
 
     @property
     def m(self) -> int:
         return sum(self.degrees) // 2
 
     def has_edge(self, u: int, v: int) -> bool:
-        if self._adj_masks is not None:
-            return bool(self._adj_masks[u] >> v & 1)
-        return v in self._adj_sets[u]
+        return v in self.adjacency_sets[u]
 
     def edges(self) -> list[tuple[int, int]]:
         """Edge list with u < v, sorted lexicographically."""
         out = []
         for u in range(self.n):
-            if self._adj_masks is not None:
-                m = self._adj_masks[u] >> (u + 1) << (u + 1)
-                while m:
-                    lb = m & -m
-                    out.append((u, lb.bit_length() - 1))
-                    m ^= lb
-            else:
-                out.extend((u, v) for v in sorted(self._adj_sets[u]) if v > u)
+            out.extend((u, v) for v in sorted(self.adjacency_sets[u]) if v > u)
         return out
 
     def connected_components(self) -> list[list[int]]:
@@ -161,15 +102,6 @@ class Graph:
 
     def is_forest(self) -> bool:
         return self.m == self.n - len(self.connected_components())
-
-    def complement(self) -> "Graph":
-        edges = [
-            (u, v)
-            for u in range(self.n)
-            for v in range(u + 1, self.n)
-            if not self.has_edge(u, v)
-        ]
-        return Graph(self.n, edges)
 
     def with_edges_swapped(self, removed, added) -> "Graph":
         edge_set = set(self.edges())
@@ -281,26 +213,18 @@ class RealizationWitness:
 
 
 def _dominates(g: Graph, inside: range, outside: range) -> bool:
-    inside_set = set(inside)
-    return all(
-        any(w in inside_set for w in g.adjacency_sets[v]) for v in outside
-    )
+    return all(any(w in inside for w in g.adjacency_sets[v]) for v in outside)
 
 
 def _independent(g: Graph, vertices: range) -> bool:
-    vs = list(vertices)
-    return all(not g.has_edge(vs[i], vs[j]) for i in range(len(vs)) for j in range(i + 1, len(vs)))
+    return not any(w in vertices for v in vertices for w in g.adjacency_sets[v])
 
 
 def validate_witness(w: RealizationWitness) -> WitnessReport:
     """Re-check every stored claim; returns a per-claim pass/fail report."""
     g = w.graph
     k = w.split_k
-    degrees_match = (
-        g.n == w.sequence.n
-        and 0 <= k <= g.n
-        and all(g.degree(i) == w.sequence.entries[i] for i in range(g.n))
-    )
+    degrees_match = g.degrees == w.sequence.entries and 0 <= k <= g.n
     head = range(0, k)
     tail = range(k, g.n)
     checks = {

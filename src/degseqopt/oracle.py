@@ -17,7 +17,7 @@ from typing import Callable, Iterator
 from .errors import TooLarge
 from .graphs import Graph
 from .sequences import DegreeSequence, _graphic_erdos_gallai, is_forest_sequence, is_graphic
-from .solvers import clique_number, domination_number, independence_number
+from .solvers import DEFAULT_SOLVER_LIMIT, _alpha, _check_limit, _gamma, _omega
 
 __all__ = [
     "GraphClass",
@@ -75,6 +75,25 @@ def enumerate_realizations(
     number of realizations visited; the visit order and count are
     deterministic.
     """
+    visit = None
+    if visitor is not None:
+        n = d.n
+
+        def visit(masks: tuple[int, ...]) -> None:
+            visitor(Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                              if masks[u] >> v & 1]))
+
+    return _enumerate_masks(d, graph_class, visit, limit)
+
+
+def _enumerate_masks(
+    d: DegreeSequence,
+    graph_class: GraphClass,
+    visit: Callable[[tuple[int, ...]], None] | None,
+    limit: int | None,
+) -> int:
+    """The enumeration behind :func:`enumerate_realizations`; ``visit``
+    receives each realization as per-vertex neighbor bitmasks."""
     limit = _resolve_limit(graph_class, limit)
     if d.n > limit:
         raise TooLarge(f"n={d.n} exceeds oracle limit {limit}")
@@ -111,8 +130,8 @@ def enumerate_realizations(
         nonlocal count
         if i == n:
             count += 1
-            if visitor is not None:
-                visitor(Graph._from_masks(n, tuple(masks)))
+            if visit is not None:
+                visit(tuple(masks))
             return
         r = residual[i]
         if r == 0:
@@ -169,11 +188,13 @@ def oracle_extrema(
     lo = {"gamma": None, "alpha": None, "omega": None}
     hi = {"gamma": None, "alpha": None, "omega": None}
 
-    def visit(g: Graph) -> None:
+    def visit(masks: tuple[int, ...]) -> None:
+        # the solvers' own size limit, raised at the first realization
+        _check_limit(d.n, DEFAULT_SOLVER_LIMIT)
         values = {
-            "gamma": domination_number(g)[0],
-            "alpha": independence_number(g)[0],
-            "omega": clique_number(g),
+            "gamma": _gamma(masks)[0],
+            "alpha": _alpha(masks)[0],
+            "omega": _omega(masks),
         }
         for key, val in values.items():
             if lo[key] is None or val < lo[key]:
@@ -181,7 +202,7 @@ def oracle_extrema(
             if hi[key] is None or val > hi[key]:
                 hi[key] = val
 
-    count = enumerate_realizations(d, graph_class, visitor=visit, limit=limit)
+    count = _enumerate_masks(d, graph_class, visit, limit)
     return OracleReport(
         sequence=d,
         graph_class=graph_class,

@@ -33,7 +33,6 @@ __all__ = [
     "forest_realize",
     "independent_tail_forest",
     "independent_dominating_head_forest",
-    "dominating_head_forest",
 ]
 
 
@@ -184,12 +183,6 @@ def independent_tail_forest(d: DegreeSequence, k: int) -> RealizationWitness:
         k,
         {WitnessClaim.IS_FOREST, WitnessClaim.TAIL_INDEPENDENT, WitnessClaim.HEAD_DOMINATING},
     )
-
-
-def dominating_head_forest(d: DegreeSequence, k: int) -> RealizationWitness:
-    """Forest with dominating head and independent tail; same contract as
-    :func:`independent_tail_forest`, which it delegates to."""
-    return independent_tail_forest(d, k)
 
 
 def independent_dominating_head_forest(d: DegreeSequence, k: int) -> RealizationWitness:

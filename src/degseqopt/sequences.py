@@ -12,8 +12,10 @@ independence number of every realization).
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from operator import neg
 from typing import Iterable, Sequence
 
 from .errors import InvalidSequence
@@ -76,27 +78,9 @@ class DegreeSequence:
         """Sum of the entries after the ``k`` largest ones."""
         return self.total - self._prefix[k]
 
-    @cached_property
-    def _count_ge(self) -> tuple[int, ...]:
-        # _count_ge[v] = number of entries >= v, for v in 0..max_entry+1
-        top = self.entries[0]
-        counts = [0] * (top + 2)
-        for x in self.entries:
-            counts[x] += 1
-        cge = [0] * (top + 2)
-        running = 0
-        for v in range(top + 1, -1, -1):
-            running += counts[v] if v <= top else 0
-            cge[v] = running
-        return tuple(cge)
-
     def count_ge(self, value: int) -> int:
         """Number of entries that are at least ``value``."""
-        if value <= 0:
-            return self.n
-        if value > self.entries[0]:
-            return 0
-        return self._count_ge[value]
+        return bisect_right(self.entries, -value, key=neg)
 
     def count_eq(self, value: int) -> int:
         """Number of entries equal to ``value``."""
@@ -202,30 +186,9 @@ def _graphic_erdos_gallai(d: Sequence[int]) -> bool:
     return True
 
 
-def _graphic_havel_hakimi(d: Sequence[int]) -> bool:
-    """Havel-Hakimi test by iterated reduction of the largest entry."""
-    seq = sorted(d, reverse=True)
-    while seq and seq[0] > 0:
-        v = seq.pop(0)
-        if v > len(seq):
-            return False
-        for i in range(v):
-            seq[i] -= 1
-            if seq[i] < 0:
-                return False
-        seq.sort(reverse=True)
-    return True
-
-
 def is_graphic(d: DegreeSequence) -> bool:
-    """True iff some simple graph realizes ``d``.
-
-    Erdos-Gallai is the production path; the Havel-Hakimi reduction is kept
-    as an independent cross-check under ``__debug__``.
-    """
-    result = _graphic_erdos_gallai(d.entries)
-    assert result == _graphic_havel_hakimi(d.entries), d.entries
-    return result
+    """True iff some simple graph realizes ``d`` (Erdos-Gallai)."""
+    return _graphic_erdos_gallai(d.entries)
 
 
 def is_forest_sequence(d: DegreeSequence) -> bool:

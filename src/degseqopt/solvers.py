@@ -9,8 +9,11 @@ Two engines sit behind one interface:
   neighborhoods for domination, and a clique-cover-bounded search for
   independence.
 
-Both are exact; graphs are first split into connected components (gamma
-and alpha are additive over components, omega is a maximum).
+Both work on per-vertex neighbor bitmasks, a format private to this
+module: the public solvers convert a ``Graph`` once, and the oracle hands
+in the masks it enumerates.  Graphs beyond the table range are split into
+connected components first (gamma and alpha are additive over components;
+omega is solved as alpha of the complement).  Both engines are exact.
 """
 
 from __future__ import annotations
@@ -202,80 +205,80 @@ def _alpha_branch_bound(masks: tuple[int, ...], n: int) -> tuple[int, set[int]]:
     return best_size, best_set
 
 
-def _induced_masks(g: Graph, vertices: list[int]) -> tuple[int, ...]:
-    index = {v: i for i, v in enumerate(vertices)}
-    masks = []
-    for v in vertices:
-        m = 0
-        for w in g.adjacency_sets[v]:
-            if w in index:
-                m |= 1 << index[w]
-        masks.append(m)
-    return tuple(masks)
+def _masks(g: Graph) -> tuple[int, ...]:
+    """Per-vertex neighbor bitmasks of ``g``."""
+    return tuple(sum(1 << w for w in g.adjacency_sets[v]) for v in range(g.n))
 
 
-def _solve_components(g: Graph, component_solver) -> tuple[int, set[int]]:
+def _components(masks: tuple[int, ...]) -> list[list[int]]:
+    """Connected components as sorted vertex lists."""
+    comps = []
+    left = (1 << len(masks)) - 1
+    while left:
+        comp = frontier = left & -left
+        while frontier:
+            reach = 0
+            for v in _bits(frontier):
+                reach |= masks[v]
+            frontier = reach & ~comp
+            comp |= frontier
+        comps.append(list(_bits(comp)))
+        left &= ~comp
+    return comps
+
+
+def _solve(masks: tuple[int, ...], table, branch_bound) -> tuple[int, set[int]]:
+    """Table up to ``_TABLE_MAX`` vertices; beyond, each component on its own."""
+    n = len(masks)
+    if n <= _TABLE_MAX:
+        return table(masks, n)
+    comps = _components(masks)
+    if len(comps) == 1:
+        return branch_bound(masks, n)
     total = 0
     chosen: set[int] = set()
-    for comp in g.connected_components():
-        masks = _induced_masks(g, comp)
-        size, local = component_solver(masks, len(comp))
+    for comp in comps:
+        index = {v: i for i, v in enumerate(comp)}
+        local = tuple(sum(1 << index[w] for w in _bits(masks[v])) for v in comp)
+        size, picked = _solve(local, table, branch_bound)
         total += size
-        chosen.update(comp[i] for i in local)
+        chosen.update(comp[i] for i in picked)
     return total, chosen
 
 
-def _check_limit(g: Graph, limit: int) -> None:
-    if g.n > limit:
-        raise TooLarge(f"graph has {g.n} vertices, solver limit is {limit}")
+def _gamma(masks: tuple[int, ...]) -> tuple[int, set[int]]:
+    return _solve(masks, _gamma_table, _gamma_branch_bound)
+
+
+def _alpha(masks: tuple[int, ...]) -> tuple[int, set[int]]:
+    return _solve(masks, _alpha_table, _alpha_branch_bound)
+
+
+def _omega(masks: tuple[int, ...]) -> int:
+    full = (1 << len(masks)) - 1
+    return _alpha(tuple(full ^ m ^ (1 << v) for v, m in enumerate(masks)))[0]
+
+
+def _check_limit(n: int, limit: int) -> None:
+    if n > limit:
+        raise TooLarge(f"graph has {n} vertices, solver limit is {limit}")
 
 
 def domination_number(g: Graph, limit: int = DEFAULT_SOLVER_LIMIT) -> tuple[int, frozenset[int]]:
     """Exact domination number of ``g`` plus one minimum dominating set."""
-    _check_limit(g, limit)
-    if g.n == 0:
-        return 0, frozenset()
-    if g.n <= _TABLE_MAX:
-        size, chosen = _gamma_table(g.adjacency_masks, g.n)
-        return size, frozenset(chosen)
-
-    def solve(masks, n):
-        if n <= _TABLE_MAX:
-            return _gamma_table(masks, n)
-        return _gamma_branch_bound(masks, n)
-
-    size, chosen = _solve_components(g, solve)
+    _check_limit(g.n, limit)
+    size, chosen = _gamma(_masks(g))
     return size, frozenset(chosen)
 
 
 def independence_number(g: Graph, limit: int = DEFAULT_SOLVER_LIMIT) -> tuple[int, frozenset[int]]:
     """Exact independence number of ``g`` plus one maximum independent set."""
-    _check_limit(g, limit)
-    if g.n == 0:
-        return 0, frozenset()
-    if g.n <= _TABLE_MAX:
-        size, chosen = _alpha_table(g.adjacency_masks, g.n)
-        return size, frozenset(chosen)
-
-    def solve(masks, n):
-        if n <= _TABLE_MAX:
-            return _alpha_table(masks, n)
-        return _alpha_branch_bound(masks, n)
-
-    size, chosen = _solve_components(g, solve)
+    _check_limit(g.n, limit)
+    size, chosen = _alpha(_masks(g))
     return size, frozenset(chosen)
 
 
 def clique_number(g: Graph, limit: int = DEFAULT_SOLVER_LIMIT) -> int:
     """Exact clique number, computed as the independence number of the complement."""
-    _check_limit(g, limit)
-    if g.n == 0:
-        return 0
-    full = (1 << g.n) - 1
-    if g.adjacency_masks is not None:
-        comp_masks = tuple(full ^ g.adjacency_masks[v] ^ (1 << v) for v in range(g.n))
-        if g.n <= _TABLE_MAX:
-            return _alpha_table(comp_masks, g.n)[0]
-        comp = Graph._from_masks(g.n, comp_masks)
-        return independence_number(comp, limit)[0]
-    return independence_number(g.complement(), limit)[0]
+    _check_limit(g.n, limit)
+    return _omega(_masks(g))

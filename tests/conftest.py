@@ -10,7 +10,7 @@ import random
 from functools import lru_cache
 from itertools import combinations, groupby
 
-from degseqopt import Graph
+from degseqopt import DegreeSequence, Graph, PreconditionViolated
 
 
 # ---------------------------------------------------------------------------
@@ -49,6 +49,45 @@ def naive_clique(g: Graph) -> int:
             if all(g.has_edge(u, v) for u, v in combinations(subset, 2)):
                 return size
     return 0
+
+
+# ---------------------------------------------------------------------------
+# independent sequence-level references
+
+
+def graphic_havel_hakimi(d) -> bool:
+    """Havel-Hakimi test by iterated reduction of the largest entry."""
+    seq = sorted(d, reverse=True)
+    while seq and seq[0] > 0:
+        v = seq.pop(0)
+        if v > len(seq):
+            return False
+        for i in range(v):
+            seq[i] -= 1
+            if seq[i] < 0:
+                return False
+        seq.sort(reverse=True)
+    return True
+
+
+def gamma_min_forest_fastpath(d: DegreeSequence) -> int:
+    """Closed form of the smallest forest domination number, leaf-rich case.
+
+    Requires positive entries with even sum at most 2n-2 and at least as
+    many leaves as the total degree of the non-leaf vertices; then the
+    value is (#degrees >= 2) + (n1 - sum of degrees >= 2) / 2, which also
+    equals both the Slater number and n - annihilation.
+    """
+    entries = d.entries
+    if 0 in entries:
+        raise PreconditionViolated(f"{entries} has zero entries")
+    if sum(entries) & 1 or sum(entries) > 2 * len(entries) - 2:
+        raise PreconditionViolated(f"{entries} is not a forest sequence")
+    heavy = [x for x in entries if x >= 2]
+    n1 = entries.count(1)
+    if n1 < sum(heavy):
+        raise PreconditionViolated(f"needs at least {sum(heavy)} leaves, sequence has {n1}")
+    return len(heavy) + (n1 - sum(heavy)) // 2
 
 
 def all_graphs(n: int):

@@ -24,7 +24,6 @@ from degseqopt import (
     gale_ryser_feasible,
     gamma_min_bounded,
     gamma_min_forest,
-    gamma_min_forest_fastpath,
     independence_number,
     is_forest_sequence,
     is_graphic,
@@ -39,6 +38,7 @@ from degseqopt.graphs import WitnessClaim
 
 from conftest import (
     bipartite_exists_bruteforce,
+    gamma_min_forest_fastpath,
     iter_bound_pairs,
     random_connected_graph,
     random_graph,
@@ -139,7 +139,7 @@ def test_c5_fastpath_coherence():
         if d.count_eq(1) < d.prefix(heavy):
             continue
         values = {
-            gamma_min_forest_fastpath(d).value,
+            gamma_min_forest_fastpath(d),
             gamma_min_forest(d).value,
             slater(d),
             d.n - annihilation(d),

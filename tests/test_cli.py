@@ -80,12 +80,32 @@ def test_internal_error_exit_code(monkeypatch):
     from degseqopt import cli
     from degseqopt.errors import InternalRepairFailure
 
-    def boom(req):
-        raise InternalRepairFailure("planted")
+    # a package error that signals a bug, and any other exception
+    for error in (InternalRepairFailure, RuntimeError):
+        def boom(req):
+            raise error("planted")
 
-    monkeypatch.setitem(cli._HANDLERS, "check", boom)
-    code, out = run_argv(["check", "1,1"])
-    assert code == EXIT_INTERNAL and "planted" in out
+        monkeypatch.setitem(cli._HANDLERS, "check", boom)
+        code, out = run_argv(["check", "1,1"])
+        assert code == EXIT_INTERNAL and "planted" in out
+        code, obj = run_json(["check", "1,1"])
+        assert code == EXIT_INTERNAL
+        assert obj["error"] == {"type": error.__name__, "message": "planted"}
+
+
+def test_check_huge_entry_uses_little_memory():
+    # memory must not grow with the value of an entry
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        code, out = run_argv(["check", "1000000000,1,1", "--json"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK and peak < 10**7
+    obj = json.loads(out)
+    assert (obj["graphic"], obj["forest"]) == (False, False)
 
 
 def test_usage_error_is_parse_error():

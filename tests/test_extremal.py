@@ -16,14 +16,13 @@ from degseqopt import (
     check_slater_bound,
     gamma_min_bounded,
     gamma_min_forest,
-    gamma_min_forest_fastpath,
     normalize,
     omega_max,
     slater,
     validate_witness,
 )
 
-from conftest import random_graph
+from conftest import gamma_min_forest_fastpath, random_graph
 
 
 # ---------------------------------------------------------------------------
@@ -167,10 +166,10 @@ def test_gamma_min_forest_rejects_non_forest():
 )
 def test_gamma_min_forest_fastpath_examples(seq, expected):
     d = normalize(seq)
-    res = gamma_min_forest_fastpath(d)
-    assert res.value == expected
-    assert res.value == gamma_min_forest(d).value
-    assert res.value == slater(d) == d.n - annihilation(d)
+    value = gamma_min_forest_fastpath(d)
+    assert value == expected
+    assert value == gamma_min_forest(d).value
+    assert value == slater(d) == d.n - annihilation(d)
 
 
 def test_fastpath_rejects_hypothesis_failure():

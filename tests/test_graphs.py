@@ -22,6 +22,7 @@ from degseqopt import (
     two_switch,
     validate_witness,
 )
+from degseqopt.solvers import _masks
 
 from conftest import random_graph
 
@@ -54,14 +55,10 @@ def test_masks_agree_with_sets():
     rng = random.Random(7)
     for _ in range(50):
         g = random_graph(rng, rng.randint(1, 12), rng.random())
+        masks = _masks(g)
         for v in range(g.n):
-            from_mask = {b for b in range(g.n) if g.adjacency_masks[v] >> b & 1}
+            from_mask = {b for b in range(g.n) if masks[v] >> b & 1}
             assert from_mask == set(g.adjacency_sets[v])
-
-
-def test_complement():
-    g = Graph(4, [(0, 1)])
-    assert g.complement().edges() == [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 
 
 @pytest.mark.parametrize(
@@ -136,6 +133,19 @@ def test_validate_witness_catches_degree_mismatch():
     wrong = normalize([2, 2, 1, 1, 0])
     report = validate_witness(RealizationWitness(g, wrong, 2, frozenset()))
     assert not report.degrees_match and not report.ok
+
+
+def test_validate_witness_rejects_adjacent_head_beyond_64_vertices():
+    # 70-vertex paths with ends 68 and 69, so degrees are non-increasing
+    def path(order):
+        return Graph(70, list(zip(order, order[1:])))
+
+    claims = frozenset({WitnessClaim.HEAD_INDEPENDENT})
+    adjacent = path([68, *range(68), 69])
+    report = validate_witness(RealizationWitness(adjacent, degree_sequence(adjacent), 2, claims))
+    assert report.degrees_match and not report.ok
+    apart = path([68, 0, 2, 1, *range(3, 68), 69])
+    assert validate_witness(RealizationWitness(apart, degree_sequence(apart), 2, claims)).ok
 
 
 def test_checked_constructor_fails_fast():

@@ -8,7 +8,6 @@ from degseqopt import (
     PreconditionViolated,
     WitnessClaim,
     degree_sequence,
-    dominating_head_forest,
     forest_realize,
     havel_hakimi_realize,
     independent_dominating_head_forest,
@@ -135,13 +134,6 @@ def test_independent_tail_sweep_all_valid_splits_up_to_n9():
                 not w.graph.has_edge(u, v) for u in tail for v in tail if u < v
             )
             assert w.graph.m == d.total // 2
-
-
-def test_dominating_head_facade_matches_independent_tail():
-    d = normalize([2, 2, 1, 1, 1, 1])
-    a = independent_tail_forest(d, 2)
-    b = dominating_head_forest(d, 2)
-    assert a.graph == b.graph and a.claims == b.claims
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,10 @@ from degseqopt import (
     parse_sequence_text,
     slater,
 )
-from degseqopt.sequences import _graphic_erdos_gallai, _graphic_havel_hakimi
+from degseqopt.sequences import _graphic_erdos_gallai
 from degseqopt.oracle import iter_degree_sequences
 
-from conftest import all_graphs
+from conftest import all_graphs, graphic_havel_hakimi
 
 raw_sequences = st.lists(st.integers(min_value=0, max_value=12), min_size=1, max_size=12)
 
@@ -106,13 +106,13 @@ def test_is_graphic_3311_against_exhaustive_search():
 def test_graphicality_tests_agree_exhaustively_up_to_n8():
     for n in range(1, 9):
         for seq in iter_degree_sequences(n, max_entry=n - 1):
-            assert _graphic_erdos_gallai(seq) == _graphic_havel_hakimi(seq), seq
+            assert _graphic_erdos_gallai(seq) == graphic_havel_hakimi(seq), seq
 
 
 @given(raw_sequences)
 def test_graphicality_tests_agree_on_random_input(raw):
     d = normalize(raw)
-    assert _graphic_erdos_gallai(d.entries) == _graphic_havel_hakimi(d.entries)
+    assert _graphic_erdos_gallai(d.entries) == graphic_havel_hakimi(d.entries)
 
 
 @pytest.mark.parametrize(

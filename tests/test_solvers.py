@@ -3,7 +3,7 @@ import random
 import pytest
 
 from degseqopt import Graph, TooLarge, clique_number, domination_number, independence_number
-from degseqopt.solvers import _alpha_branch_bound, _gamma_branch_bound, _induced_masks
+from degseqopt.solvers import _alpha_branch_bound, _gamma_branch_bound, _masks
 
 from conftest import naive_clique, naive_domination, naive_independence, random_graph
 
@@ -106,7 +106,7 @@ def test_branch_and_bound_agrees_with_tables():
     for _ in range(150):
         n = rng.randint(2, 12)
         g = random_graph(rng, n, rng.uniform(0.1, 0.9))
-        masks = _induced_masks(g, list(range(n)))
+        masks = _masks(g)
         assert _gamma_branch_bound(masks, n)[0] == domination_number(g)[0]
         assert _alpha_branch_bound(masks, n)[0] == independence_number(g)[0]
 
@@ -134,3 +134,12 @@ def test_disjoint_components_are_solved_additively():
     assert domination_number(g)[0] == 11
     assert independence_number(g)[0] == 1 + 10
     assert clique_number(g) == 5
+
+
+def test_clique_number_beyond_64_vertices():
+    # K_5 plus a 65-vertex path, with limit raised past 64
+    edges = [(i, j) for i in range(5) for j in range(i + 1, 5)]
+    edges += [(i, i + 1) for i in range(5, 69)]
+    g = Graph(70, edges)
+    assert clique_number(g, limit=80) == 5
+    assert clique_number(path(70), limit=80) == 2
