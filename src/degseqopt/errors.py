@@ -33,9 +33,5 @@ class NotConnected(DegSeqOptError):
     """Operation requires a connected graph."""
 
 
-class InternalRepairFailure(DegSeqOptError):
-    """The cycle-repair loop failed to terminate; indicates a bug, not bad input."""
-
-
 class InvalidWitness(DegSeqOptError):
     """A constructed witness failed its own validation; indicates a bug."""

@@ -10,21 +10,20 @@ realizations the extremal formulas rest on:
   (exists iff the head sum covers the tail size and the tail degree
   surplus fits inside a forest on the high-degree tail vertices).
 
-All constructions are deterministic and return witnesses that re-check
-their own claims on construction.
+Both are built from the degrees alone: the first by peeling leaves and
+contracting equal-degree blocks, the second by a small forest inside the
+tail whose components are peeled against the head as a bipartite forest
+and expanded back.  All constructions are
+deterministic and return witnesses that re-check their own claims on
+construction.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import count
 
-from .bipartite import BipartiteDegreeSpec, build_bounded_bipartite
-from .errors import (
-    InternalRepairFailure,
-    NotForestSequence,
-    NotGraphic,
-    PreconditionViolated,
-)
+from .errors import NotForestSequence, NotGraphic, PreconditionViolated
 from .graphs import Graph, RealizationWitness, WitnessClaim
 from .sequences import DegreeSequence, is_forest_sequence, is_graphic
 
@@ -70,71 +69,110 @@ def havel_hakimi_realize(d: DegreeSequence) -> Graph:
 _sort_key = lambda item: (-item[0], item[1])  # noqa: E731
 
 
-def _independent_tail_edges(degrees, k: int, virtual_ids=None) -> list[tuple[int, int]]:
+def _independent_tail_edges(degrees, k: int) -> list[tuple[int, int]]:
     """Forest edges on positions 0..n-1 with {k..n-1} independent.
 
     ``degrees`` must be non-increasing and positive with an even sum of at
     most 2n-2, and the head sum must be at least the tail sum; the caller
-    checks all of that.  Recursive construction: while the head strictly
-    out-degrees the tail boundary, peel a degree-1 vertex off the end and
-    re-attach it to the top vertex; when the boundary degree ties the
-    maximum, contract an (l+1)-block of degree-l vertices into one virtual
-    vertex of degree l(l-1), recurse, and expand the virtual vertex back
-    into a star whose leaves inherit its edges round-robin.
+    checks all of that.  While the head strictly out-degrees the tail
+    boundary, peel a degree-1 vertex off the end and re-attach it to the top
+    vertex; when the boundary degree ties the maximum, contract an
+    (l+1)-block of degree-l vertices into one virtual vertex of degree
+    l(l-1); once all degrees are one, wire them up and undo the steps in
+    reverse, expanding each virtual vertex into a star whose leaves inherit
+    its edges round-robin.  Iterative, so n is not bounded by the recursion
+    limit.
     """
-    if virtual_ids is None:
-        virtual_ids = count(-1, -1)
+    # Each step shrinks the live part items[h:] (kept sorted by
+    # ``_sort_key``) and records only what undoing it needs: a peel edge
+    # (p1, pl), or a contraction (virtual id, leaves, center).  The base
+    # case wires the all-ones residue; the records are then undone in
+    # reverse order.  Slots before h are dead, so dropping the top vertex
+    # moves nothing.
     items = sorted(((d, i) for i, d in enumerate(degrees)), key=_sort_key)
-    return _build_forest(items, k, virtual_ids)
+    virtual_ids = count(-1, -1)
+    unwind: list[tuple] = []
+    h = 0
+    total = sum(degrees)
+    while total != len(items) - h:
+        n = len(items) - h
+        if k == n or items[h][0] > items[h + k][0]:
+            dl, pl = items.pop()
+            assert dl == 1, "a positive sequence with sum < 2n must end in a 1"
+            d1, p1 = items[h]
+            # the rest stays sorted and keys are distinct, so inserting the
+            # decremented top vertex gives the order a full sort would
+            top = (d1 - 1, p1)
+            pos = bisect_left(items, _sort_key(top), h + 1, key=_sort_key)
+            if pos == h + 1:
+                items[h] = top
+            else:
+                items.insert(pos, top)
+                h += 1
+            k = min(k, n - 1)
+            total -= 2
+            unwind.append((p1, pl))
+            continue
+        # boundary tie: items[h..h+k] all share degree l
+        ell = items[h + k][0]
+        assert 2 <= ell <= k
+        leaves = [items[h + i][1] for i in range(ell)]
+        center = items[h + k][1]
+        virt = next(virtual_ids)
+        # drop the leaves and the center; l(l-1) >= l, and a tie at 2 goes
+        # to the newest (smallest) id, so the virtual vertex leads the order
+        del items[h + k]
+        h += ell - 1
+        items[h] = (ell * (ell - 1), virt)
+        k = k - ell + 1
+        total -= 2 * ell
+        unwind.append((virt, leaves, center))
 
+    # Every edge ever made, in order of creation; an edge a contraction
+    # removes becomes None.  ``incident`` indexes the edges at each virtual
+    # vertex, so undoing a contraction costs its degree, not the edge count.
+    edges: list = []
+    incident: dict[int, list[int]] = {}
 
-def _build_forest(items, k, virtual_ids) -> list[tuple[int, int]]:
-    n = len(items)
-    total = sum(d for d, _ in items)
-    if total == 0:
-        return []
-    if total == n:
-        # all degrees one: match each tail vertex to a head vertex, then
-        # pair off the surplus head vertices
-        tail_size = n - k
-        assert k >= tail_size, "head sum must cover the tail"
-        edges = [(items[j][1], items[k + j][1]) for j in range(tail_size)]
-        leftover = [items[i][1] for i in range(tail_size, k)]
-        assert len(leftover) % 2 == 0
-        for a in range(0, len(leftover), 2):
-            edges.append((leftover[a], leftover[a + 1]))
-        return edges
-    if k == n or items[0][0] > items[k][0]:
-        d1, p1 = items[0]
-        dl, pl = items[-1]
-        assert dl == 1, "a positive sequence with sum < 2n must end in a 1"
-        rest = sorted([(d1 - 1, p1)] + items[1:-1], key=_sort_key)
-        edges = _build_forest(rest, min(k, n - 1), virtual_ids)
-        edges.append((p1, pl))
-        return edges
-    # boundary tie: items[0..k] all share degree l
-    ell = items[k][0]
-    assert 2 <= ell <= k
-    leaves = [items[i][1] for i in range(ell)]
-    center = items[k][1]
-    virt = next(virtual_ids)
-    rest = [(ell * (ell - 1), virt)] + items[ell:k] + items[k + 1:]
-    edges = _build_forest(rest, k - ell + 1, virtual_ids)
-    kept: list[tuple[int, int]] = []
-    inherited: list[int] = []
-    for a, b in edges:
-        if a == virt:
-            inherited.append(b)
-        elif b == virt:
-            inherited.append(a)
-        else:
-            kept.append((a, b))
-    assert len(inherited) == ell * (ell - 1)
-    inherited.sort()
-    for idx, nb in enumerate(inherited):
-        kept.append((leaves[idx % ell], nb))
-    kept.extend((center, leaf) for leaf in leaves)
-    return kept
+    def add(a: int, b: int) -> None:
+        for x in (a, b):
+            if x < 0:
+                incident.setdefault(x, []).append(len(edges))
+        edges.append((a, b))
+
+    # all degrees one: match each tail vertex to a head vertex, then pair
+    # off the surplus head vertices
+    tail_size = len(items) - h - k
+    assert k >= tail_size, "head sum must cover the tail"
+    for j in range(h, h + tail_size):
+        add(items[j][1], items[k + j][1])
+    leftover = [items[i][1] for i in range(h + tail_size, h + k)]
+    assert len(leftover) % 2 == 0
+    for a in range(0, len(leftover), 2):
+        add(leftover[a], leftover[a + 1])
+
+    for step in reversed(unwind):
+        if len(step) == 2:
+            add(*step)
+            continue
+        # expand the virtual vertex into a star whose leaves inherit its
+        # edges round-robin
+        virt, leaves, center = step
+        ell = len(leaves)
+        inherited: list[int] = []
+        for i in incident.pop(virt):
+            if edges[i] is None:  # already replaced by another expansion
+                continue
+            a, b = edges[i]
+            inherited.append(b if a == virt else a)
+            edges[i] = None
+        assert len(inherited) == ell * (ell - 1)
+        inherited.sort()
+        for idx, nb in enumerate(inherited):
+            add(leaves[idx % ell], nb)
+        for leaf in leaves:
+            add(center, leaf)
+    return [e for e in edges if e is not None]
 
 
 def _require_positive_forest(d: DegreeSequence) -> None:
@@ -192,9 +230,24 @@ def independent_dominating_head_forest(d: DegreeSequence, k: int) -> Realization
     surplus s = (tail sum) - (head sum) satisfies
     0 <= s <= max(0, 2 * ((#degrees >= 2) - k) - 2).
 
-    Built as a degree-bounded bipartite graph between head and tail plus a
-    forest on the leftover tail degrees, then repaired into a forest by
-    component-merging edge swaps.
+    For s > 0, with H the head sum and e_j the tail degrees, the forest is
+    built directly from the degrees:
+
+    1. pick tail-internal degrees f_j <= e_j - 1 with sum s on at least
+       s/2 + 1 vertices, so f is a forest sequence, and realize it inside
+       the tail;
+    2. contract each of its components C into one node needing
+       sum(e_j - f_j) >= |C| edges to the head;
+    3. peel a bipartite forest between the head (degrees d_i) and those
+       nodes (``_bipartite_forest``): both sides sum to H, and
+       H <= k + (#components) - 1 because #components = n - k - s/2 and
+       2H + s = sum(d) <= 2n - 2;
+    4. expand: hand each component's head edges to its members, e_j - f_j
+       each.
+
+    Contracting trees inside a forest and expanding them back keeps it a
+    forest, no edge joins two head vertices, and every tail vertex gets at
+    least one head neighbour.
     """
     _require_positive_forest(d)
     _check_k(d, k)
@@ -221,141 +274,56 @@ def independent_dominating_head_forest(d: DegreeSequence, k: int) -> Realization
         edges = _independent_tail_edges(d.entries, k)
         return RealizationWitness.checked(Graph(n, edges), d, k, claims)
 
-    r = min(s, d.count_ge(2) - k)
-    assert r >= 1 and d.entries[k] >= 2
-    tail_deg = d.entries[k:]
-    spec = BipartiteDegreeSpec.create(
-        lower_left=d.entries[:k],
-        upper_left=d.entries[:k],
-        lower_right=[1] * (n - k),
-        upper_right=[tail_deg[j] - 1 if j < r else tail_deg[j] for j in range(n - k)],
-    )
-    h = build_bounded_bipartite(spec)
-    edges = {
-        (spec.left_order[u], k + spec.right_order[v - k]) for u, v in h.edges()
-    }
-
-    # leftover tail degrees form a small forest among the first r tail slots
-    sorted_index_of = {j: sj for sj, j in enumerate(spec.right_order)}
-    residual = [tail_deg[j] - h.degree(k + sorted_index_of[j]) for j in range(n - k)]
-    positive = [(residual[j], j) for j in range(n - k) if residual[j] > 0]
-    assert all(j < r for _, j in positive) and sum(rd for rd, _ in positive) == s
-    sorted_pos = sorted(positive, key=lambda t: (-t[0], t[1]))
-    sub_edges = _independent_tail_edges([rd for rd, _ in sorted_pos], len(sorted_pos))
-    edges.update(
-        (min(k + sorted_pos[a][1], k + sorted_pos[b][1]),
-         max(k + sorted_pos[a][1], k + sorted_pos[b][1]))
-        for a, b in sub_edges
-    )
-
-    edges = _repair_cycles(n, k, edges)
-    return RealizationWitness.checked(Graph(n, sorted(edges)), d, k, claims)
+    # f: one internal edge end on each of min(s, q) tail vertices of degree
+    # >= 2 (q of them; s <= 2q - 2), the rest of s filling their spare room
+    # e_j - 2 from the largest down.  That room is (tail sum) - (n - k) - q
+    # >= s - q, since the head sum covers the n - k tail vertices.
+    tail = d.entries[k:]
+    f = [1] * min(s, d.count_ge(2) - k)
+    spare, j = s - len(f), 0
+    while spare:
+        extra = min(tail[j] - 2, spare)
+        f[j] += extra
+        spare -= extra
+        j += 1
+    internal = _independent_tail_edges(f, len(f))
+    f += [0] * (n - k - len(f))
+    # one slot per head edge a component's members need
+    slots = [
+        [k + j for j in members for _ in range(tail[j] - f[j])]
+        for members in Graph(n - k, internal).connected_components()
+    ]
+    cross = _bipartite_forest(d.entries[:k], [len(c) for c in slots])
+    edges = [(k + a, k + b) for a, b in internal]
+    edges += [(head, slots[c].pop()) for head, c in cross]
+    return RealizationWitness.checked(Graph(n, edges), d, k, claims)
 
 
-def _repair_cycles(n: int, k: int, edges: set[tuple[int, int]]) -> set[tuple[int, int]]:
-    """Swap cross edges between components until the graph is a forest.
+def _bipartite_forest(left, right) -> list[tuple[int, int]]:
+    """Edges (i, j) of a forest with degree left[i] at i and right[j] at j.
 
-    Each swap removes one cross edge on a cycle and one cross edge in
-    another component and reconnects them crosswise, merging the two
-    components; the component count strictly decreases, so at most n
-    rounds are ever needed.
+    Requires positive degrees with equal sums H <= len(left) + len(right) - 1.
+    Leaf peeling: a residual-1 node is joined to a node of residual >= 2 on
+    the other side, or to a residual-1 node there if none is left, and is
+    then never touched again, so no cycle can close.  While edges remain a
+    leaf exists: with every residual >= 2 each side would have at most
+    H'/2 nodes, against H' <= (nodes left) - 1, and each join keeps that
+    bound whichever partner it takes.
     """
-    previous_components = n + 1
-    for _ in range(n + 1):
-        adj = [[] for _ in range(n)]
-        for u, v in edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        comp = [-1] * n
-        comps: list[list[int]] = []
-        for start in range(n):
-            if comp[start] >= 0:
-                continue
-            cid = len(comps)
-            stack, members = [start], []
-            comp[start] = cid
-            while stack:
-                u = stack.pop()
-                members.append(u)
-                for v in adj[u]:
-                    if comp[v] < 0:
-                        comp[v] = cid
-                        stack.append(v)
-            comps.append(sorted(members))
-        assert len(comps) < previous_components
-        previous_components = len(comps)
-
-        cycle = None
-        for members in comps:
-            edge_count = sum(len(adj[u]) for u in members) // 2
-            if edge_count >= len(members):
-                cycle = _find_cycle(adj, members[0])
-                break
-        if cycle is None:
-            return edges
-
-        cyc_id = comp[cycle[0]]
-        cyc_cross = min(
-            _cross(cycle[i], cycle[(i + 1) % len(cycle)], k)
-            for i in range(len(cycle))
-            if _is_cross(cycle[i], cycle[(i + 1) % len(cycle)], k)
-        )
-        other = None
-        for members in comps:
-            if comp[members[0]] == cyc_id:
-                continue
-            cross = [
-                _cross(u, v, k) for u, v in edges
-                if comp[u] == comp[members[0]] and _is_cross(u, v, k)
-            ]
-            if cross:
-                other = min(cross)
-                break
-        if other is None:
-            raise InternalRepairFailure("no cross edge outside the cyclic component")
-        u, v = cyc_cross    # head u, tail v, on the cycle
-        x, y = other        # head x, tail y, elsewhere
-        edges.discard((min(u, v), max(u, v)))
-        edges.discard((min(x, y), max(x, y)))
-        edges.add((min(u, y), max(u, y)))
-        edges.add((min(x, v), max(x, v)))
-    raise InternalRepairFailure("cycle repair did not terminate")
-
-
-def _is_cross(u: int, v: int, k: int) -> bool:
-    return (u < k) != (v < k)
-
-
-def _cross(u: int, v: int, k: int) -> tuple[int, int]:
-    return (u, v) if u < k else (v, u)
-
-
-def _find_cycle(adj: list[list[int]], start: int) -> list[int]:
-    """Vertices of some cycle in the component of ``start`` (which has one)."""
-    parent = {start: -1}
-    stack = [(start, -1)]
-    while stack:
-        u, pu = stack.pop()
-        for v in sorted(adj[u]):
-            if v == pu or parent.get(v) == u:
-                continue
-            if v in parent:
-                # non-tree edge u-v: close the cycle through the lowest
-                # common ancestor of u and v in the discovery tree
-                anc_u = [u]
-                x = u
-                while parent[x] != -1:
-                    x = parent[x]
-                    anc_u.append(x)
-                index_in_u = {vertex: idx for idx, vertex in enumerate(anc_u)}
-                path_v = [v]
-                x = v
-                while x not in index_in_u:
-                    x = parent[x]
-                    path_v.append(x)
-                meet = path_v[-1]
-                down_to_u = list(reversed(anc_u[: index_in_u[meet]]))
-                return path_v + down_to_u
-            parent[v] = u
-            stack.append((v, u))
-    raise AssertionError("component contained no cycle")
+    residual = (list(left), list(right))
+    big = tuple([i for i, r in enumerate(side) if r >= 2] for side in residual)
+    leaves = tuple([i for i, r in enumerate(side) if r == 1] for side in residual)
+    edges = []
+    while leaves[0] or leaves[1]:
+        side = 0 if leaves[0] else 1
+        other = 1 - side
+        leaf = leaves[side].pop()
+        if big[other]:
+            partner = big[other][-1]
+            residual[other][partner] -= 1
+            if residual[other][partner] == 1:
+                leaves[other].append(big[other].pop())
+        else:
+            partner = leaves[other].pop()
+        edges.append((leaf, partner) if side == 0 else (partner, leaf))
+    return edges

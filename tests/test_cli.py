@@ -78,10 +78,10 @@ def test_precondition_exit_code():
 
 def test_internal_error_exit_code(monkeypatch):
     from degseqopt import cli
-    from degseqopt.errors import InternalRepairFailure
+    from degseqopt.errors import InvalidWitness
 
     # a package error that signals a bug, and any other exception
-    for error in (InternalRepairFailure, RuntimeError):
+    for error in (InvalidWitness, RuntimeError):
         def boom(req):
             raise error("planted")
 
@@ -273,6 +273,30 @@ def test_zero_entry_sequences_through_the_cli():
 
     code, out = run_argv(["realize", "hh", "0,0"])
     assert (code, out) == (EXIT_OK, "n=2 edges=-")
+
+
+def test_forest_witnesses_on_a_5000_vertex_path():
+    # the forest builder once recursed per vertex and hit the recursion limit
+    from degseqopt import (
+        RealizationWitness, WitnessClaim, graph_from_json_obj, normalize, validate_witness,
+    )
+
+    seq = ",".join(["2"] * 4998 + ["1", "1"])
+    code, obj = run_json(["realize", "forest", seq])
+    assert code == EXIT_OK
+    g = graph_from_json_obj(obj)
+    assert g.is_forest() and g.degrees == normalize(seq.split(",")).entries
+
+    code, obj = run_json(["forest", "alpha-max", seq, "--witness"])
+    assert code == EXIT_OK and obj["value"] == 2500
+    w = obj["witness"]
+    witness = RealizationWitness(
+        graph_from_json_obj({"n": 5000, "edges": w["edges"]}),
+        normalize(w["sequence"]),
+        w["k"],
+        frozenset(WitnessClaim(c) for c in w["claims"]),
+    )
+    assert validate_witness(witness).ok
 
 
 def test_bip_check_inline_spec():

@@ -145,6 +145,14 @@ def test_gamma_min_forest_examples(seq, expected, k):
     assert res.witness is not None and validate_witness(res.witness).ok
 
 
+def test_gamma_min_forest_witness_on_a_20000_vertex_path():
+    n = 20000
+    res = gamma_min_forest(normalize([2] * (n - 2) + [1, 1]))
+    assert res.value == res.achieving_k == (n + 2) // 3
+    assert WitnessClaim.HEAD_INDEPENDENT in res.witness.claims
+    assert validate_witness(res.witness).ok
+
+
 def test_gamma_min_forest_zero_entries_add_isolated_vertices():
     base = gamma_min_forest(normalize([2, 2, 1, 1])).value
     assert gamma_min_forest(normalize([2, 2, 1, 1, 0, 0])).value == base + 2

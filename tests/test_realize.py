@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -180,20 +182,102 @@ def test_independent_dominating_head_sweep_all_valid_splits_up_to_n9():
             assert w.graph.m == d.total // 2
 
 
-def test_repair_merges_planted_cycle_into_forest():
-    from degseqopt import Graph
-    from degseqopt.realize import _repair_cycles
+def _tree_degrees(internal):
+    """Degrees of a tree whose non-leaf vertices have the degrees ``internal``."""
+    return list(internal) + [1] * (sum(d - 2 for d in internal) + 2)
 
-    # head {0,1}; component {0,2,3,4} carries the cycle 0-2-3-0,
-    # component {1,5,6} supplies the swap partner
-    planted = {(0, 2), (0, 3), (2, 3), (0, 4), (1, 5), (1, 6)}
-    degrees = {v: sum(1 for e in planted for x in e if x == v) for v in range(7)}
-    fixed = _repair_cycles(7, 2, set(planted))
-    g = Graph(7, sorted(fixed))
-    assert g.is_forest()
-    assert {v: g.degree(v) for v in range(7)} == degrees
-    # tail-tail edges may survive, head-head edges must never appear
-    assert all(not (u < 2 and v < 2) for u, v in g.edges())
+
+def _caterpillar(rng, n):
+    spine = rng.randint(1, n // 2)
+    degrees = [0 if spine == 1 else 2] * spine
+    if spine > 1:
+        degrees[0] = degrees[-1] = 1
+    for _ in range(n - spine):
+        degrees[rng.randrange(spine)] += 1
+    return degrees + [1] * (n - spine)
+
+
+def _spider(rng, n):
+    legs = rng.randint(3, max(3, n // 4))
+    return _tree_degrees([legs] + [2] * (n - 1 - legs))
+
+
+def _prufer(rng, n):
+    degrees = [1] * n
+    for _ in range(n - 2):
+        degrees[rng.randrange(n)] += 1
+    return degrees
+
+
+def _high_tail(rng, n):
+    # internal degrees 3..6 leave small splits' tails spare room above two
+    # per vertex; a few K2 components make it a forest, not a tree
+    internal = [rng.randint(3, 6)]
+    while len(_tree_degrees(internal)) < n:
+        internal.append(rng.randint(3, 6))
+    return _tree_degrees(internal) + [1, 1] * rng.randint(0, 3)
+
+
+def test_independent_dominating_head_random_families_beyond_n9():
+    rng = random.Random(20240611)
+    families = {
+        "path": lambda rng, n: [2] * (n - 2) + [1, 1],
+        "caterpillar": _caterpillar,
+        "spider": _spider,
+        "prufer": _prufer,
+        "high_tail": _high_tail,
+    }
+    branches = []
+    accepted = 0
+    for name, make in families.items():
+        draws = 30 if name == "high_tail" else 10
+        for n in [10, 300] + [rng.randint(11, 299) for _ in range(draws)]:
+            d = normalize(make(rng, n))
+            assert is_forest_sequence(d) and d.n0 == 0, name
+            for k in range(1, d.n + 1):
+                surplus = d.suffix(k) - d.prefix(k)
+                cap = max(0, 2 * (d.count_ge(2) - k) - 2)
+                if d.prefix(k) < d.n - k or not 0 <= surplus <= cap:
+                    continue
+                accepted += 1
+                if surplus > 0:
+                    branches.append(d.count_ge(2) - k >= surplus)
+                w = independent_dominating_head_forest(d, k)
+                g = w.graph
+                assert validate_witness(w).ok
+                assert all(v >= k for u in range(k) for v in g.adjacency_sets[u])
+                assert all(
+                    any(u < k for u in g.adjacency_sets[v]) for v in range(k, d.n)
+                )
+                assert g.m == d.total // 2
+    assert accepted > 500
+    # both ways of choosing the tail-internal degrees ran, many times
+    assert min(branches.count(True), branches.count(False)) > 50
+
+
+def test_bipartite_forest_meets_every_feasible_degree_pair():
+    from degseqopt import Graph
+    from degseqopt.realize import _bipartite_forest
+
+    def compositions(total, parts):
+        if parts == 1:
+            yield (total,)
+            return
+        for first in range(1, total - parts + 2):
+            for rest in compositions(total - first, parts - 1):
+                yield (first,) + rest
+
+    for total in range(1, 7):
+        for a in range(1, total + 1):
+            for b in range(1, total + 1):
+                if total > a + b - 1:
+                    continue
+                for left in compositions(total, a):
+                    for right in compositions(total, b):
+                        edges = _bipartite_forest(left, right)
+                        g = Graph(a + b, [(i, a + j) for i, j in edges])
+                        assert g.is_forest()
+                        assert g.degrees == left + right
 
 
 @given(st.integers(min_value=0, max_value=10**6))
