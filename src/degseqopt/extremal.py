@@ -3,11 +3,15 @@
 Computes, for a graphic sequence d:
 
 * omega_max(d), alpha_max(d): the largest clique/independence number of
-  any realization, by the iterated clique-peeling reduction;
+  any realization, by Rao's clique peel on a degree histogram, searched
+  over k by galloping down from the top and bisecting (feasibility is
+  monotone in k);
 * gamma_min(d): the smallest domination number of any realization, by
-  scanning split sizes k upward from the Slater number and testing, for
-  each cross-degree profile bounded by the maximum degree, whether the
-  head part, tail part, and connecting bipartite graph all exist;
+  scanning split sizes k upward from the Slater number and, for each k,
+  the cross-edge totals upward: for each total, the cross-degree profiles
+  (bounded by the maximum degree) with that sum are enumerated and tested
+  for whether the head part, tail part, and connecting bipartite graph all
+  exist;
 * gamma_min_forest(d), alpha_max_forest(d): closed formulas over forest
   realizations, with constructive witnesses attached;
 * the domination bound check gamma(G) <= 3*slater + 2*(cycle excess) - 2
@@ -23,6 +27,7 @@ import enum
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 from .bipartite import BipartiteDegreeSpec, build_bounded_bipartite, gale_ryser_feasible
 from .errors import NotConnected, NotForestSequence, NotGraphic, PreconditionViolated
@@ -131,37 +136,70 @@ class ExtremalResult:
 def _rao_clique_feasible(entries: tuple[int, ...], k: int) -> bool:
     """Can some realization contain a clique on the k largest-degree vertices?
 
-    Peels the clique vertices one at a time: drop the first entry, lower
-    the next d following entries by one, and re-sort only the tail beyond
-    the remaining clique entries.  Feasible iff the final tail is graphic
-    and nothing goes negative on the way.
+    Peels the clique vertices one at a time.  Clique vertex j enters its
+    step with residual ``entries[j] - j``; it joins the k - j - 1 clique
+    vertices still to come and the w = entries[j] - k + 1 largest tail
+    values, each of which drops by one.  The tail is a value -> count
+    histogram, so a step walks only the values from the top down to the
+    lowest one it lowers: no list shifts and no re-sort.
+    Feasible iff every step finds w positive tail values and the final
+    tail is graphic (Erdos-Gallai).  Needs ``entries`` non-increasing.
     """
-    seq = list(entries)
-    for i in range(k):
-        v = seq.pop(0)
-        remaining_clique = k - i - 1
-        if v < remaining_clique or v > len(seq):
+    if entries and entries[0] >= len(entries):
+        return False  # no vertex has n neighbours; keeps the histogram O(n)
+    if k and entries[k - 1] < k - 1:
+        return False  # some clique vertex cannot reach the other k - 1
+    tail = entries[k:]
+    top = tail[0] if tail else 0
+    count = [0] * (top + 1)
+    for x in tail:
+        count[x] += 1
+    for j in range(k):
+        w = entries[j] - k + 1
+        if w > len(tail) - count[0]:
             return False
-        for t in range(v):
-            seq[t] -= 1
-            if seq[t] < 0:
-                return False
-        tail = seq[remaining_clique:]
-        tail.sort(reverse=True)
-        seq[remaining_clique:] = tail
-    return _graphic_erdos_gallai(seq)
+        x, moved = top, 0
+        while w:
+            take = min(count[x], w)
+            count[x] += moved - take
+            moved, w, x = take, w - take, x - 1
+        count[x] += moved
+        while top and not count[top]:
+            top -= 1
+    out: list[int] = []
+    for x in range(top, -1, -1):
+        out += [x] * count[x]
+    return _graphic_erdos_gallai(out)
 
 
 def omega_max(d: DegreeSequence) -> ExtremalResult:
-    """Largest clique number among all realizations of ``d``."""
+    """Largest clique number among all realizations of ``d``.
+
+    By Rao's theorem a k-clique exists in some realization iff one exists
+    on the k largest-degree vertices, which ``_rao_clique_feasible`` tests;
+    and since a k-clique contains a (k-1)-clique, feasibility is monotone
+    in k.  The search gallops down from the top candidate hi (the largest
+    k with d_k >= k - 1), trying hi, hi-1, hi-3, hi-7, ... until a k is
+    feasible, then bisects the gap above it: O(log n) peels, and one or
+    two on dense inputs, whose answer sits near the top.
+    """
     if not is_graphic(d):
         raise NotGraphic(f"{d.entries} is not graphic")
     chain = bound_chain(d)
-    candidates = [k for k in range(1, d.n + 1) if d.entries[k - 1] >= k - 1]
-    for k in sorted(candidates, reverse=True):
-        if _rao_clique_feasible(d.entries, k):
-            return ExtremalResult(ExtremalParameter.OMEGA_MAX, k, chain)
-    raise AssertionError("k = 1 is always feasible for a graphic sequence")
+    entries = d.entries
+    good = max(k for k in range(1, d.n + 1) if entries[k - 1] >= k - 1)
+    bad, step = good + 1, 1
+    while not _rao_clique_feasible(entries, good):
+        if good == 1:
+            raise AssertionError("k = 1 is always feasible for a graphic sequence")
+        bad, good, step = good, max(1, good - step), 2 * step
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        if _rao_clique_feasible(entries, mid):
+            good = mid
+        else:
+            bad = mid
+    return ExtremalResult(ExtremalParameter.OMEGA_MAX, good, chain)
 
 
 def alpha_max(d: DegreeSequence) -> ExtremalResult:
@@ -186,22 +224,45 @@ def _graphic_cached(entries: tuple[int, ...]) -> bool:
     return _graphic_erdos_gallai(entries)
 
 
-def _profiles_by_sum(caps: list[int]) -> dict[int, list[tuple[int, ...]]]:
-    """Non-increasing positive sequences with v_i <= caps[i], grouped by sum."""
-    out: dict[int, list[tuple[int, ...]]] = {}
+def _profiles_with_sum(caps: list[int], total: int):
+    """Non-increasing positive sequences with v_i <= caps[i] summing to ``total``.
+
+    Yields them in lexicographically descending order.  Entry i is at most
+    pm[i], the prefix minimum of ``caps``; a value v for it is tried only
+    while the positions after it can still take the rest of the sum: at
+    least one each, and at most room[i + 1][v], the sum of min(v, pm[j])
+    over j > i.  Every branch entered therefore yields a profile.
+    """
+    n = len(caps)
+    pm = list(accumulate(caps, min))
+    top = pm[0] if n else 0
+    room = [[0] * (top + 1)]
+    for i in range(n - 1, -1, -1):
+        room.append([r + min(v, pm[i]) for v, r in enumerate(room[-1])])
+    room.reverse()
+    if not n <= total <= room[0][top]:
+        return
+    if not n:
+        yield ()
+        return
     seq: list[int] = []
-
-    def rec(i: int, hi: int, total: int) -> None:
-        if i == len(caps):
-            out.setdefault(total, []).append(tuple(seq))
-            return
-        for v in range(min(hi, caps[i]), 0, -1):
+    rest, v = total, min(top, total - n + 1)
+    while True:
+        i = len(seq)
+        if v >= 1 and v + room[i + 1][v] >= rest:
+            if i + 1 == n:
+                yield (*seq, v)
+                v -= 1
+                continue
             seq.append(v)
-            rec(i + 1, v, total + v)
-            seq.pop()
-
-    rec(0, max(caps, default=0), 0)
-    return out
+            rest -= v
+            v = min(v, caps[i + 1], rest - (n - i - 2))
+            continue
+        if not seq:
+            return
+        v = seq.pop()
+        rest += v
+        v -= 1
 
 
 def _split_feasible(pos: DegreeSequence, k: int, delta: int):
@@ -210,20 +271,21 @@ def _split_feasible(pos: DegreeSequence, k: int, delta: int):
     A profile fixes how many edges each vertex sends across the split.
     Feasibility needs graphic leftovers on both sides plus an exact-degree
     bipartite graph between them; the two profile sums must agree since
-    both count the cross edges.
+    both count the cross edges.  Each side's reachable sums form the
+    interval [len, sum of prefix-minimum caps] (lowering the last entry
+    above 1 steps down by one), so the scan walks the common totals in
+    increasing order and enumerates only the profiles of the current one.
     """
     p = pos.n
     if k == p:
         return "whole"
     head_caps = [min(pos.entries[i], delta, p - k) for i in range(k)]
     tail_caps = [min(pos.entries[k + j], delta, k) for j in range(p - k)]
-    head_groups = _profiles_by_sum(head_caps)
-    tail_groups = _profiles_by_sum(tail_caps)
-    common = sorted(set(head_groups) & set(tail_groups))
-    for total in common:
+    top = min(sum(accumulate(head_caps, min)), sum(accumulate(tail_caps, min)))
+    for total in range(max(k, p - k), top + 1):
         lefts = [
             L
-            for L in head_groups[total]
+            for L in _profiles_with_sum(head_caps, total)
             if _graphic_cached(
                 tuple(sorted((pos.entries[i] - L[i] for i in range(k)), reverse=True))
             )
@@ -232,7 +294,7 @@ def _split_feasible(pos: DegreeSequence, k: int, delta: int):
             continue
         rights = [
             R
-            for R in tail_groups[total]
+            for R in _profiles_with_sum(tail_caps, total)
             if _graphic_cached(
                 tuple(sorted((pos.entries[k + j] - R[j] for j in range(p - k)), reverse=True))
             )
@@ -271,9 +333,13 @@ def _assemble_split_witness(pos, k, head_profile, tail_profile) -> RealizationWi
 def gamma_min_bounded(d: DegreeSequence, delta_cap: int | None = None) -> ExtremalResult:
     """Smallest domination number among all realizations of ``d``.
 
-    The profile scan enumerates O(n^(2*delta)) cross-degree profiles per
-    split size, so runtime grows quickly with the maximum degree; passing
-    ``delta_cap`` rejects sequences whose maximum entry exceeds it.
+    Scans split sizes k upward from the Slater number.  For each k it walks
+    the cross-edge totals upward and enumerates only the head and tail
+    profiles of the current total, so a feasible split stops at its first
+    workable total.  Only an infeasible split visits every total, and with
+    it every profile of both sides, whose number grows quickly with the
+    maximum degree; passing ``delta_cap`` rejects sequences whose maximum
+    entry exceeds it.
     """
     if not is_graphic(d):
         raise NotGraphic(f"{d.entries} is not graphic")

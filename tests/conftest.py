@@ -90,6 +90,51 @@ def gamma_min_forest_fastpath(d: DegreeSequence) -> int:
     return len(heavy) + (n1 - sum(heavy)) // 2
 
 
+def profiles_by_sum(caps: list[int]) -> dict[int, list[tuple[int, ...]]]:
+    """Every non-increasing positive sequence with v_i <= caps[i], by sum.
+
+    The eager enumeration the profile scan used to build for each side;
+    each group lists its profiles in lexicographically descending order.
+    """
+    out: dict[int, list[tuple[int, ...]]] = {}
+    seq: list[int] = []
+
+    def rec(i: int, hi: int, total: int) -> None:
+        if i == len(caps):
+            out.setdefault(total, []).append(tuple(seq))
+            return
+        for v in range(min(hi, caps[i]), 0, -1):
+            seq.append(v)
+            rec(i + 1, v, total + v)
+            seq.pop()
+
+    rec(0, max(caps, default=0), 0)
+    return out
+
+
+def rao_clique_feasible_positional(entries, k: int) -> bool:
+    """Clique peel on the k largest entries, on a plain list.
+
+    Drops the first entry, lowers the next d entries by one and re-sorts
+    the tail beyond the remaining clique entries; feasible iff nothing goes
+    negative on the way and the final tail is graphic.
+    """
+    seq = list(entries)
+    for i in range(k):
+        v = seq.pop(0)
+        remaining_clique = k - i - 1
+        if v < remaining_clique or v > len(seq):
+            return False
+        for t in range(v):
+            seq[t] -= 1
+            if seq[t] < 0:
+                return False
+        tail = seq[remaining_clique:]
+        tail.sort(reverse=True)
+        seq[remaining_clique:] = tail
+    return graphic_havel_hakimi(seq)
+
+
 def all_graphs(n: int):
     """Every labeled graph on n vertices (use only for small n)."""
     pairs = list(combinations(range(n), 2))

@@ -22,7 +22,12 @@ from degseqopt import (
     validate_witness,
 )
 
-from conftest import gamma_min_forest_fastpath, random_graph
+from conftest import (
+    gamma_min_forest_fastpath,
+    profiles_by_sum,
+    rao_clique_feasible_positional,
+    random_graph,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -59,6 +64,65 @@ def test_omega_alpha_reject_non_graphic():
         omega_max(normalize([3, 3, 1, 1]))
     with pytest.raises(NotGraphic):
         alpha_max(normalize([3, 3, 1, 1]))
+
+
+def _random_sequences(rng, count, max_n):
+    """Seeded non-increasing sequences: graph degree sequences and raw draws."""
+    from degseqopt import degree_sequence
+
+    out = []
+    for i in range(count):
+        n = rng.randint(1, max_n)
+        if i % 2:
+            out.append(degree_sequence(random_graph(rng, n, rng.random())).entries)
+        else:
+            out.append(tuple(sorted((rng.randint(0, n) for _ in range(n)), reverse=True)))
+    return out
+
+
+def test_clique_peel_matches_positional_reference():
+    from degseqopt import iter_degree_sequences
+    from degseqopt.extremal import _rao_clique_feasible
+
+    cases = [
+        seq
+        for n in range(1, 9)
+        for seq in iter_degree_sequences(n, max_entry=n)
+        if sum(seq) % 2 == 0
+    ]
+    cases += _random_sequences(random.Random(11), 300, 70)
+    for entries in cases:
+        for k in range(len(entries) + 1):
+            assert _rao_clique_feasible(entries, k) == rao_clique_feasible_positional(
+                entries, k
+            ), (entries, k)
+
+
+def _linear_omega(entries):
+    from degseqopt.extremal import _rao_clique_feasible
+
+    return next(k for k in range(len(entries), 0, -1) if _rao_clique_feasible(entries, k))
+
+
+def test_omega_alpha_match_linear_scan():
+    from degseqopt import degree_sequence
+
+    rng = random.Random(12)
+    for n, p in [(300, 0.01), (300, 0.6), (200, 0.03), (120, 0.9)] + [
+        (rng.randint(1, 60), rng.random()) for _ in range(60)
+    ]:
+        d = degree_sequence(random_graph(rng, n, p))
+        comp = normalize([d.n - 1 - x for x in d.entries])
+        assert omega_max(d).value == _linear_omega(d.entries)
+        assert alpha_max(d).value == _linear_omega(comp.entries)
+
+
+def test_alpha_max_sparse_10000():
+    rng = random.Random(13)
+    entries = [rng.randint(1, 5) for _ in range(10000)]
+    entries[0] += sum(entries) % 2
+    d = normalize(entries)
+    assert alpha_max(d).value <= annihilation(d)
 
 
 # ---------------------------------------------------------------------------
@@ -107,13 +171,50 @@ def test_gamma_min_witness_dominates():
 def test_gamma_min_scan_returns_first_feasible_split():
     from degseqopt.extremal import _split_feasible
 
-    for seq in ([2, 2, 2, 1, 1, 1, 1, 1, 1], [3, 2, 2, 2, 1, 1, 1], [2, 2, 2, 2, 2, 2]):
+    for seq in (
+        [2, 2, 2, 1, 1, 1, 1, 1, 1],
+        [3, 2, 2, 2, 1, 1, 1],
+        [2, 2, 2, 2, 2, 2],
+        [3, 3, 3, 1, 1, 1],  # k = slater is infeasible
+        [3] * 11 + [1] * 29,  # likewise, at n = 40
+    ):
         d = normalize(seq)
         res = gamma_min_bounded(d)
         pos = d.positive_part()
         assert _split_feasible(pos, res.achieving_k, d.max_entry) is not None
         for k in range(slater(pos), res.achieving_k):
             assert _split_feasible(pos, k, d.max_entry) is None
+
+
+def test_profiles_with_sum_matches_eager_reference():
+    from degseqopt.extremal import _profiles_with_sum
+
+    rng = random.Random(14)
+    for _ in range(400):
+        caps = [rng.randint(0, 5) for _ in range(rng.randint(1, 9))]
+        groups = profiles_by_sum(caps)
+        for total in range(sum(caps) + 3):
+            assert list(_profiles_with_sum(caps, total)) == groups.get(total, []), (caps, total)
+
+
+def test_gamma_min_bounded_near_uniform_delta5_n100():
+    from degseqopt.extremal import _split_feasible
+
+    rng = random.Random(15)
+    entries = [1 + i % 5 for i in range(100)]
+    for _ in range(6):
+        i, j = rng.randrange(100), rng.randrange(100)
+        if entries[i] < 5 and entries[j] > 1:
+            entries[i] += 1
+            entries[j] -= 1
+    d = normalize(entries)
+    with pytest.warns(RuntimeWarning):
+        res = gamma_min_bounded(d)
+    assert validate_witness(res.witness).ok
+    pos = d.positive_part()
+    assert _split_feasible(pos, res.achieving_k, d.max_entry) is not None
+    for k in range(slater(pos), res.achieving_k):
+        assert _split_feasible(pos, k, d.max_entry) is None
 
 
 def test_gamma_min_result_never_below_slater():
