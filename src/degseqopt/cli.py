@@ -8,7 +8,8 @@ deterministic byte-for-byte for a fixed input and flag set.
 Exit codes: 0 success, 1 parse/usage errors, 2 domain precondition
 violations (non-graphic input, infeasible spec, ...), 3 internal errors:
 invariant breaches (sweep mismatches, failed witness validation) and any
-other exception, reported like the others, never as a traceback.
+other exception, reported like the others, never as a traceback.  A
+reader that closes stdout early leaves the exit code unchanged.
 """
 
 from __future__ import annotations
@@ -535,7 +536,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     code, report = run(request)
-    print(report)
+    try:
+        print(report, flush=True)
+    except BrokenPipeError:
+        # the reader left early (e.g. ``| head``): keep the command's code,
+        # and give the interpreter's final flush somewhere harmless to go
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

@@ -5,6 +5,13 @@ graph on u_1..u_n with degree(u_i) = d_i exactly), optionally restricted
 to forests, and reports the exact extrema of the domination,
 independence, and clique numbers over that class.  This is the oracle the
 closed formulas and profile scans are validated against.
+
+The extrema are built along the enumeration tree, not solved per
+realization: once a vertex has chosen its later neighbors its row is
+final, and its closed neighborhood, its edges and its non-edges are folded
+into three 2^n-bit subset bitmaps (the solvers' table format) handed down
+the recursion.  Each realization then reads its three numbers off those
+bitmaps, which caps the oracle at n <= 14, the solvers' table range.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from typing import Callable, Iterator
 from .errors import TooLarge
 from .graphs import Graph
 from .sequences import DegreeSequence, _graphic_erdos_gallai, is_forest_sequence, is_graphic
-from .solvers import DEFAULT_SOLVER_LIMIT, _alpha, _check_limit, _gamma, _omega
+from .solvers import _TABLE_MAX, _largest_member, _smallest_member, _subsets_avoiding, _tables
 
 __all__ = [
     "GraphClass",
@@ -79,21 +86,30 @@ def enumerate_realizations(
     if visitor is not None:
         n = d.n
 
-        def visit(masks: tuple[int, ...]) -> None:
+        def visit(masks: list[int], state) -> None:
             visitor(Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
                               if masks[u] >> v & 1]))
 
-    return _enumerate_masks(d, graph_class, visit, limit)
+    return _enumerate_masks(d, graph_class, limit, visit)
 
 
 def _enumerate_masks(
     d: DegreeSequence,
     graph_class: GraphClass,
-    visit: Callable[[tuple[int, ...]], None] | None,
     limit: int | None,
+    visit: Callable[[list[int], object], None] | None = None,
+    fold: Callable[[int, int, object], object] | None = None,
+    state: object = None,
 ) -> int:
-    """The enumeration behind :func:`enumerate_realizations`; ``visit``
-    receives each realization as per-vertex neighbor bitmasks."""
+    """The enumeration behind :func:`enumerate_realizations`.
+
+    ``visit(masks, state)`` receives each realization as per-vertex
+    neighbor bitmasks (a live list: read it before returning).  When vertex
+    i's row is final (it has chosen its later neighbors),
+    ``fold(i, masks[i], state)`` returns the state handed to depth i+1, so
+    a caller can accumulate per-row data along the tree instead of
+    recomputing it at each leaf.
+    """
     limit = _resolve_limit(graph_class, limit)
     if d.n > limit:
         raise TooLarge(f"n={d.n} exceeds oracle limit {limit}")
@@ -109,6 +125,7 @@ def _enumerate_masks(
     residual = list(d.entries)
     masks = [0] * n
     parent = list(range(n))  # union-find, no path compression (rollback)
+    feasible: dict[tuple[int, ...], bool] = {}  # suffix test, by leftover degrees
     count = 0
 
     def find(x: int) -> int:
@@ -117,25 +134,27 @@ def _enumerate_masks(
         return x
 
     def suffix_ok(i: int) -> bool:
-        rest = residual[i + 1 :]
-        if forest:
-            s = sum(rest)
-            if s == 0:
-                return True
-            positive = sum(1 for x in rest if x > 0)
-            return s <= 2 * positive - 2
-        return _graphic_erdos_gallai(sorted(rest, reverse=True))
+        rest = tuple(residual[i + 1 :])
+        ok = feasible.get(rest)
+        if ok is None:
+            if forest:
+                s = sum(rest)
+                ok = s == 0 or s <= 2 * sum(1 for x in rest if x > 0) - 2
+            else:
+                ok = _graphic_erdos_gallai(sorted(rest, reverse=True))
+            feasible[rest] = ok
+        return ok
 
-    def rec(i: int) -> None:
+    def rec(i: int, state) -> None:
         nonlocal count
         if i == n:
             count += 1
             if visit is not None:
-                visit(tuple(masks))
+                visit(masks, state)
             return
         r = residual[i]
         if r == 0:
-            rec(i + 1)
+            rec(i + 1, state if fold is None else fold(i, masks[i], state))
             return
         candidates = [j for j in range(i + 1, n) if residual[j] > 0]
         if r > len(candidates):
@@ -165,7 +184,7 @@ def _enumerate_masks(
                         rj = find(j)
                         undo.append(rj)
                         parent[rj] = ri
-                rec(i + 1)
+                rec(i + 1, state if fold is None else fold(i, masks[i], state))
                 for j in chosen:
                     masks[i] &= ~(1 << j)
                     masks[j] &= ~(1 << i)
@@ -175,7 +194,7 @@ def _enumerate_masks(
             for j in chosen:
                 residual[j] += 1
 
-    rec(0)
+    rec(0, state)
     return count
 
 
@@ -184,35 +203,74 @@ def oracle_extrema(
     graph_class: GraphClass = GraphClass.GENERAL,
     limit: int | None = None,
 ) -> OracleReport:
-    """Exact extrema of gamma, alpha, omega over the enumerated class."""
-    lo = {"gamma": None, "alpha": None, "omega": None}
-    hi = {"gamma": None, "alpha": None, "omega": None}
+    """Exact extrema of gamma, alpha, omega over the enumerated class.
 
-    def visit(masks: tuple[int, ...]) -> None:
-        # the solvers' own size limit, raised at the first realization
-        _check_limit(d.n, DEFAULT_SOLVER_LIMIT)
-        values = {
-            "gamma": _gamma(masks)[0],
-            "alpha": _alpha(masks)[0],
-            "omega": _omega(masks),
-        }
-        for key, val in values.items():
-            if lo[key] is None or val < lo[key]:
-                lo[key] = val
-            if hi[key] is None or val > hi[key]:
-                hi[key] = val
+    Three subset bitmaps over the 2^n vertex subsets travel down the
+    enumeration tree.  When vertex i's row is final, its closed
+    neighborhood N[i] and its pairs (i, j), j > i, are folded in:
+    ``dom`` keeps the subsets meeting N[i] (after every row: the
+    dominating sets), ``nonind`` gains the subsets holding i and a new
+    neighbor j, and ``noncl`` the subsets holding i and a later non-neighbor
+    j.  Each realization then reads gamma off the smallest size class of
+    ``dom``, and alpha and omega off the largest size class of the
+    complements of ``nonind`` and ``noncl``; no solver runs per
+    realization.  The tables need n <= 14 (``solvers._TABLE_MAX``), so a
+    longer sequence raises ``TooLarge`` before any enumeration, whatever
+    ``limit`` says.
+    """
+    n = d.n
+    limit = _resolve_limit(graph_class, limit)
+    if n > limit:
+        raise TooLarge(f"n={n} exceeds oracle limit {limit}")
+    if n > _TABLE_MAX:
+        raise TooLarge(f"n={n} exceeds the oracle's subset-table limit {_TABLE_MAX}")
+    allow, _, full = _tables(n)
+    meeting: dict[int, int] = {}  # vertex mask -> bitmap of the subsets meeting it
 
-    count = _enumerate_masks(d, graph_class, visit, limit)
+    def meets(bits: int) -> int:
+        out = meeting.get(bits)
+        if out is None:
+            out = meeting[bits] = full ^ _subsets_avoiding(bits, allow, full)
+        return out
+
+    own = [meets(1 << i) for i in range(n)]  # own[i]: the subsets containing i
+    later = [(1 << n) - (1 << (i + 1)) for i in range(n)]  # later[i]: vertices after i
+
+    def fold(i: int, row: int, state: tuple[int, int, int]) -> tuple[int, int, int]:
+        # own[i] & meets(S) is the union over j in S of the pair bitmaps
+        # "holds i and j"
+        dom, nonind, noncl = state
+        chosen = row & later[i]
+        return (
+            dom & meets(row | 1 << i),
+            nonind | own[i] & meets(chosen),
+            noncl | own[i] & meets(later[i] ^ chosen),
+        )
+
+    seen: set[tuple[int, int, int]] = set()  # distinct (gamma, alpha, omega)
+
+    def visit(masks: list[int], state: tuple[int, int, int]) -> None:
+        dom, nonind, noncl = state
+        seen.add((
+            _smallest_member(dom, n)[0],
+            _largest_member(full ^ nonind, n)[0],
+            _largest_member(full ^ noncl, n)[0],
+        ))
+
+    count = _enumerate_masks(d, graph_class, limit, visit, fold, (full, 0, 0))
+    columns = list(zip(*seen))
+    lo = [min(c) for c in columns] or [None] * 3  # all None: no realization
+    hi = [max(c) for c in columns] or [None] * 3
     return OracleReport(
         sequence=d,
         graph_class=graph_class,
         realization_count=count,
-        gamma_min=lo["gamma"],
-        gamma_max=hi["gamma"],
-        alpha_min=lo["alpha"],
-        alpha_max=hi["alpha"],
-        omega_min=lo["omega"],
-        omega_max=hi["omega"],
+        gamma_min=lo[0],
+        gamma_max=hi[0],
+        alpha_min=lo[1],
+        alpha_max=hi[1],
+        omega_min=lo[2],
+        omega_max=hi[2],
     )
 
 

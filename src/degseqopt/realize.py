@@ -40,23 +40,36 @@ def _hh_edges(degrees: tuple[int, ...]) -> list[tuple[int, int]]:
 
     Assumes the (non-increasing) sequence is graphic.  The vertex of
     highest residual degree is wired to the next-highest residuals,
-    ties broken by position.
+    ties broken by position.  Vertices sit in buckets of ascending
+    positions per residual degree, so (-residual, position) order is the
+    buckets read from the top down: each step takes prefixes of the top
+    buckets, then merges each taken run into the bucket one lower.
     """
-    items = [[d, i] for i, d in enumerate(degrees)]
+    buckets: list[list[int]] = [[] for _ in range(max(degrees, default=0) + 1)]
+    for i, d in enumerate(degrees):
+        buckets[d].append(i)
     edges: list[tuple[int, int]] = []
+    top = len(buckets) - 1
     while True:
-        items.sort(key=lambda it: (-it[0], it[1]))
-        r, v = items[0]
-        if r == 0:
+        while top and not buckets[top]:
+            top -= 1
+        if not top:
             return edges
-        if r > len(items) - 1:
-            raise AssertionError("non-graphic sequence reached construction")
-        items[0][0] = 0
-        for t in range(1, r + 1):
-            items[t][0] -= 1
-            if items[t][0] < 0:
+        v = buckets[top].pop(0)
+        taken = []
+        need, level = top, top
+        while need:
+            if not level:
                 raise AssertionError("non-graphic sequence reached construction")
-            edges.append((v, items[t][1]))
+            run = buckets[level][:need]
+            del buckets[level][:need]
+            taken.append((level, run))
+            need -= len(run)
+            level -= 1
+        for level, run in taken:
+            edges.extend((v, w) for w in run)
+            if level > 1:  # two ascending runs: sorted() merges them in one pass
+                buckets[level - 1] = sorted(buckets[level - 1] + run)
 
 
 def havel_hakimi_realize(d: DegreeSequence) -> Graph:

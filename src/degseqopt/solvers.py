@@ -10,8 +10,10 @@ Two engines sit behind one interface:
   independence.
 
 Both work on per-vertex neighbor bitmasks, a format private to this
-module: the public solvers convert a ``Graph`` once, and the oracle hands
-in the masks it enumerates.  Graphs beyond the table range are split into
+module: the public solvers convert a ``Graph`` once.  The oracle builds
+its own subset tables row by row with this module's table helpers
+(``_tables``, ``_subsets_avoiding``, ``_smallest_member``,
+``_largest_member``).  Graphs beyond the table range are split into
 connected components first (gamma and alpha are additive over components;
 omega is solved as alpha of the complement).  Both engines are exact.
 """
@@ -246,19 +248,6 @@ def _solve(masks: tuple[int, ...], table, branch_bound) -> tuple[int, set[int]]:
     return total, chosen
 
 
-def _gamma(masks: tuple[int, ...]) -> tuple[int, set[int]]:
-    return _solve(masks, _gamma_table, _gamma_branch_bound)
-
-
-def _alpha(masks: tuple[int, ...]) -> tuple[int, set[int]]:
-    return _solve(masks, _alpha_table, _alpha_branch_bound)
-
-
-def _omega(masks: tuple[int, ...]) -> int:
-    full = (1 << len(masks)) - 1
-    return _alpha(tuple(full ^ m ^ (1 << v) for v, m in enumerate(masks)))[0]
-
-
 def _check_limit(n: int, limit: int) -> None:
     if n > limit:
         raise TooLarge(f"graph has {n} vertices, solver limit is {limit}")
@@ -267,18 +256,20 @@ def _check_limit(n: int, limit: int) -> None:
 def domination_number(g: Graph, limit: int = DEFAULT_SOLVER_LIMIT) -> tuple[int, frozenset[int]]:
     """Exact domination number of ``g`` plus one minimum dominating set."""
     _check_limit(g.n, limit)
-    size, chosen = _gamma(_masks(g))
+    size, chosen = _solve(_masks(g), _gamma_table, _gamma_branch_bound)
     return size, frozenset(chosen)
 
 
 def independence_number(g: Graph, limit: int = DEFAULT_SOLVER_LIMIT) -> tuple[int, frozenset[int]]:
     """Exact independence number of ``g`` plus one maximum independent set."""
     _check_limit(g.n, limit)
-    size, chosen = _alpha(_masks(g))
+    size, chosen = _solve(_masks(g), _alpha_table, _alpha_branch_bound)
     return size, frozenset(chosen)
 
 
 def clique_number(g: Graph, limit: int = DEFAULT_SOLVER_LIMIT) -> int:
     """Exact clique number, computed as the independence number of the complement."""
     _check_limit(g.n, limit)
-    return _omega(_masks(g))
+    full = (1 << g.n) - 1
+    complement = tuple(full ^ m ^ (1 << v) for v, m in enumerate(_masks(g)))
+    return _solve(complement, _alpha_table, _alpha_branch_bound)[0]

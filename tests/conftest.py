@@ -10,7 +10,16 @@ import random
 from functools import lru_cache
 from itertools import combinations, groupby
 
-from degseqopt import DegreeSequence, Graph, PreconditionViolated
+from degseqopt import (
+    DegreeSequence,
+    Graph,
+    GraphClass,
+    OracleReport,
+    PreconditionViolated,
+    clique_number,
+    domination_number,
+    independence_number,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +142,84 @@ def rao_clique_feasible_positional(entries, k: int) -> bool:
         tail.sort(reverse=True)
         seq[remaining_clique:] = tail
     return graphic_havel_hakimi(seq)
+
+
+def hh_edges_reference(degrees) -> list[tuple[int, int]]:
+    """Havel-Hakimi edges by a full re-sort of the residuals at every step.
+
+    The vertex of highest residual (lowest position on ties) is wired to
+    the next-highest residuals in (-residual, position) order.
+    """
+    items = [[d, i] for i, d in enumerate(degrees)]
+    edges: list[tuple[int, int]] = []
+    while True:
+        items.sort(key=lambda it: (-it[0], it[1]))
+        r, v = items[0]
+        if r == 0:
+            return edges
+        if r > len(items) - 1:
+            raise AssertionError("non-graphic sequence reached construction")
+        items[0][0] = 0
+        for t in range(1, r + 1):
+            items[t][0] -= 1
+            if items[t][0] < 0:
+                raise AssertionError("non-graphic sequence reached construction")
+            edges.append((v, items[t][1]))
+
+
+def realizations_reference(d: DegreeSequence, forest: bool = False) -> list[Graph]:
+    """Every labeled graph with degree(u_i) = d_i, by deciding each vertex
+    pair in turn; a branch dies once a vertex has more degree left than
+    partners still to decide."""
+    n = d.n
+    residual = list(d.entries)
+    pairs = list(combinations(range(n), 2))
+    edges: list[tuple[int, int]] = []
+    out: list[Graph] = []
+
+    def rec(t: int) -> None:
+        if t == len(pairs):
+            if not any(residual):
+                g = Graph(n, edges)
+                if not forest or g.is_forest():
+                    out.append(g)
+            return
+        u, v = pairs[t]
+        if residual[u] and residual[v]:
+            residual[u] -= 1
+            residual[v] -= 1
+            edges.append((u, v))
+            if residual[u] <= n - 1 - v:
+                rec(t + 1)
+            edges.pop()
+            residual[u] += 1
+            residual[v] += 1
+        if residual[u] <= n - 1 - v:
+            rec(t + 1)
+
+    rec(0)
+    return out
+
+
+def oracle_extrema_reference(d: DegreeSequence, graph_class: GraphClass) -> OracleReport:
+    """Oracle extrema by solving every realization of an independent
+    enumeration from scratch."""
+    graphs = realizations_reference(d, forest=graph_class is GraphClass.FOREST)
+    values = [(domination_number(g)[0], independence_number(g)[0], clique_number(g))
+              for g in graphs]
+    lo = [min(column) for column in zip(*values)] or [None] * 3
+    hi = [max(column) for column in zip(*values)] or [None] * 3
+    return OracleReport(
+        sequence=d,
+        graph_class=graph_class,
+        realization_count=len(graphs),
+        gamma_min=lo[0],
+        gamma_max=hi[0],
+        alpha_min=lo[1],
+        alpha_max=hi[1],
+        omega_min=lo[2],
+        omega_max=hi[2],
+    )
 
 
 def all_graphs(n: int):

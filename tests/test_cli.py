@@ -225,6 +225,25 @@ def test_oracle_limit_env_var():
     assert proc.returncode == EXIT_PRECONDITION
 
 
+def test_oracle_beyond_the_subset_tables_exits_2_whatever_the_limit():
+    seq = ",".join(["1"] * 2 + ["0"] * 13)
+    for args, env in ((["--limit", "20"], None), ([], {"DEGSEQOPT_ORACLE_LIMIT": "20"})):
+        proc = run_cli_process(["oracle", seq, *args], env=env)
+        assert proc.returncode == EXIT_PRECONDITION
+        assert proc.stdout == "error: n=15 exceeds the oracle's subset-table limit 14\n"
+
+
+def test_closed_stdout_keeps_the_exit_code_and_prints_no_traceback():
+    for args, code in ((["sweep", "--n-max", "5"], EXIT_OK),
+                       (["gamma-min", "3,3,1,1"], EXIT_PRECONDITION)):
+        proc = subprocess.Popen([sys.executable, "-m", "degseqopt", *args],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc.stdout.close()  # the reader is gone before the report is written
+        _, err = proc.communicate(timeout=60)
+        assert b"Traceback" not in err and b"BrokenPipeError" not in err, err
+        assert proc.returncode == code
+
+
 def test_sweep_respects_oracle_limit():
     code, _ = run_argv(["sweep", "--n-max", "12"])
     assert code == EXIT_PARSE

@@ -14,11 +14,18 @@ from degseqopt import (
     annihilation,
     bound_chain,
     check_slater_bound,
+    clique_number,
+    domination_number,
+    forest_realize,
     gamma_min_bounded,
     gamma_min_forest,
+    havel_hakimi_realize,
+    independence_number,
+    is_graphic,
     normalize,
     omega_max,
     slater,
+    two_switch,
     validate_witness,
 )
 
@@ -27,6 +34,7 @@ from conftest import (
     profiles_by_sum,
     rao_clique_feasible_positional,
     random_graph,
+    random_tree,
 )
 
 
@@ -367,3 +375,71 @@ def test_check_slater_bound_requires_connected():
         check_slater_bound(Graph(4, [(0, 1), (2, 3)]))
     with pytest.raises(PreconditionViolated):
         check_slater_bound(Graph(0))
+
+
+# ---------------------------------------------------------------------------
+# checks past the oracle range: realizations sampled by 2-switch walks
+
+
+def _two_switch_walk(rng, g, steps, keep=lambda g: True):
+    """Yield ``g`` and then the graph after each of ``steps`` random 2-switches.
+
+    2-switches preserve every vertex degree and connect all realizations
+    of a sequence (R. Taylor 1981); ``keep`` rejects switches whose result
+    leaves the class being walked.
+    """
+    yield g
+    for _ in range(steps):
+        (x, y), (xp, yp) = rng.sample(g.edges(), 2)
+        if rng.random() < 0.5:
+            xp, yp = yp, xp
+        if len({x, y, xp, yp}) < 4 or g.has_edge(x, xp) or g.has_edge(y, yp):
+            continue
+        switched = two_switch(g, (x, y), (xp, yp))
+        if keep(switched):
+            g = switched
+        yield g
+
+
+def test_two_switch_walks_never_beat_the_general_extrema():
+    rng = random.Random(1981)
+    sequences, visited = 0, 0
+    while sequences < 20:
+        n = rng.randint(10, 30)
+        d = normalize([rng.randint(1, rng.randint(2, 6)) for _ in range(n)])
+        if not is_graphic(d):
+            continue
+        sequences += 1
+        gamma = gamma_min_bounded(d)
+        alpha, omega = alpha_max(d).value, omega_max(d).value
+        witness = gamma.witness.graph
+        assert domination_number(witness)[0] == gamma.achieving_k
+        seen = set()
+        for g in _two_switch_walk(rng, havel_hakimi_realize(d), 60):
+            seen.add(g)
+            assert g.degrees == d.entries
+            assert domination_number(g)[0] >= gamma.value
+            assert independence_number(g)[0] <= alpha
+            assert clique_number(g) <= omega
+        visited += len(seen)
+    assert visited > 500  # the walks move: 20 walks of 61 samples
+
+
+def test_two_switch_walks_never_beat_the_forest_formulas():
+    rng = random.Random(1981)
+    visited = 0
+    for _ in range(20):
+        n = rng.randint(10, 30)
+        tree = random_tree(rng, n)
+        d = normalize(tree.degrees)
+        gamma, alpha = gamma_min_forest(d), alpha_max_forest(d)
+        assert domination_number(gamma.witness.graph)[0] == gamma.achieving_k
+        assert independence_number(alpha.witness.graph)[0] == alpha.value
+        seen = set()
+        for g in _two_switch_walk(rng, forest_realize(d), 60, keep=Graph.is_forest):
+            seen.add(g)
+            assert g.is_forest() and sorted(g.degrees, reverse=True) == list(d.entries)
+            assert domination_number(g)[0] >= gamma.value
+            assert independence_number(g)[0] <= alpha.value
+        visited += len(seen)
+    assert visited > 400  # the walks move: 20 walks of 61 samples

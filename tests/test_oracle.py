@@ -1,4 +1,5 @@
 import pytest
+from conftest import oracle_extrema_reference
 
 from degseqopt import (
     GraphClass,
@@ -142,3 +143,38 @@ def test_iter_degree_sequences_shape():
     positives = list(iter_degree_sequences(3, positive_only=True))
     assert all(s[-1] >= 1 for s in positives)
     assert len(positives) == 4  # multisets of size 3 over {1,2}
+
+
+def _assert_matches_reference(seq, graph_class):
+    d = normalize(list(seq))
+    assert oracle_extrema(d, graph_class) == oracle_extrema_reference(d, graph_class), seq
+
+
+@pytest.mark.parametrize("graph_class", list(GraphClass))
+def test_oracle_extrema_match_the_leaf_solving_reference_up_to_n7(graph_class):
+    for n in range(1, 8):
+        for seq in iter_degree_sequences(n):
+            _assert_matches_reference(seq, graph_class)
+
+
+def test_forest_oracle_extrema_match_the_reference_at_n8():
+    for seq in iter_degree_sequences(8):
+        if is_forest_sequence(normalize(list(seq))):
+            _assert_matches_reference(seq, GraphClass.FOREST)
+
+
+@pytest.mark.parametrize("seq", [(4,) * 8, (3,) * 8])
+def test_regular_n8_oracle_extrema_match_the_reference(seq):
+    # 19 355 realizations each
+    _assert_matches_reference(seq, GraphClass.GENERAL)
+
+
+def test_oracle_extrema_rejects_sequences_beyond_the_subset_tables():
+    d = normalize([1, 1] + [0] * 13)
+    with pytest.raises(TooLarge, match="subset-table limit 14"):
+        oracle_extrema(d, GraphClass.GENERAL, limit=20)
+    with pytest.raises(TooLarge, match="subset-table limit 14"):
+        oracle_extrema(d, GraphClass.FOREST, limit=20)
+    # the enumeration alone keeps its own limit
+    assert enumerate_realizations(d, GraphClass.GENERAL, limit=20) == 1
+

@@ -63,6 +63,24 @@ def test_havel_hakimi_realizes_positionally_for_all_small_graphic_sequences():
             assert degree_sequence(g).entries == d.entries
 
 
+def test_havel_hakimi_buckets_match_the_resorting_reference():
+    from conftest import hh_edges_reference
+
+    from degseqopt.realize import _hh_edges
+
+    small = [normalize(list(seq)) for n in range(1, 9) for seq in iter_degree_sequences(n)]
+    graphic = [d for d in small if is_graphic(d)]
+    assert len(graphic) == 1706  # every graphic sequence with n <= 8
+    rng = random.Random(20150716)
+    while len(graphic) < 2006:  # and 300 random ones with n <= 400
+        n = rng.randint(2, 400)
+        d = normalize([rng.randint(0, rng.randint(1, min(n - 1, 40))) for _ in range(n)])
+        if is_graphic(d):
+            graphic.append(d)
+    for d in graphic:
+        assert _hh_edges(d.entries) == hh_edges_reference(d.entries), d.entries
+
+
 # ---------------------------------------------------------------------------
 # generic forest construction
 
