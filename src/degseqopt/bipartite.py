@@ -1,17 +1,18 @@
 """Bipartite degree feasibility with per-vertex lower and upper bounds.
 
-Feasibility is the Gale-Ryser inequality family generalized to degree
-intervals: a bipartite graph with left degrees in [a_i, b_i] and right
-degrees in [a'_j, b'_j] exists iff every prefix of the sorted lower
-bounds on one side is covered by the capped upper bounds of the other.
-Construction goes through an integral max-flow with lower bounds, so a
-feasible spec always yields a concrete, deterministic realization.
+A bipartite graph with left degrees in [a_i, b_i] and right degrees in
+[a'_j, b'_j] exists iff one pair of exact degree vectors is realizable:
+the flattest vectors within the bounds at the least edge total the
+bounds allow (Hoffman's cut bound).  Feasibility is the Gale-Ryser prefix test
+on that pair, and construction is Ryser's greedy on it, so a feasible
+spec always yields a concrete, deterministic realization.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import cached_property
+from itertools import chain
 
 from .errors import Infeasible, InvalidSequence
 from .graphs import Graph
@@ -58,10 +59,6 @@ class BipartiteDegreeSpec:
     def n(self) -> int:
         return len(self.lower_right)
 
-    @cached_property
-    def is_exact(self) -> bool:
-        return self.lower_left == self.upper_left and self.lower_right == self.upper_right
-
 
 def _sort_side(lower, upper, side):
     lower = [int(x) for x in lower]
@@ -82,127 +79,120 @@ def _sort_side(lower, upper, side):
 
 def gale_ryser_feasible(spec: BipartiteDegreeSpec) -> bool:
     """True iff some bipartite graph meets all four bound families."""
-    for k in range(1, spec.m + 1):
-        lhs = sum(spec.lower_left[:k])
-        rhs = sum(min(k, b) for b in spec.upper_right)
-        if lhs > rhs:
-            return False
-    for k in range(1, spec.n + 1):
-        lhs = sum(spec.lower_right[:k])
-        rhs = sum(min(k, b) for b in spec.upper_left)
-        if lhs > rhs:
-            return False
-    return True
-
-
-class _Dinic:
-    """Small deterministic max-flow: arcs explored in insertion order."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self.head: list[list[int]] = [[] for _ in range(n)]
-        self.to: list[int] = []
-        self.cap: list[int] = []
-
-    def add_edge(self, u: int, v: int, cap: int) -> int:
-        idx = len(self.to)
-        self.head[u].append(idx)
-        self.to.append(v)
-        self.cap.append(cap)
-        self.head[v].append(idx + 1)
-        self.to.append(u)
-        self.cap.append(0)
-        return idx
-
-    def max_flow(self, s: int, t: int) -> int:
-        flow = 0
-        while True:
-            level = [-1] * self.n
-            level[s] = 0
-            queue = [s]
-            for u in queue:
-                for idx in self.head[u]:
-                    v = self.to[idx]
-                    if self.cap[idx] > 0 and level[v] < 0:
-                        level[v] = level[u] + 1
-                        queue.append(v)
-            if level[t] < 0:
-                return flow
-            it = [0] * self.n
-
-            def dfs(u: int, limit: int) -> int:
-                if u == t:
-                    return limit
-                while it[u] < len(self.head[u]):
-                    idx = self.head[u][it[u]]
-                    v = self.to[idx]
-                    if self.cap[idx] > 0 and level[v] == level[u] + 1:
-                        pushed = dfs(v, min(limit, self.cap[idx]))
-                        if pushed:
-                            self.cap[idx] -= pushed
-                            self.cap[idx ^ 1] += pushed
-                            return pushed
-                    it[u] += 1
-                return 0
-
-            while True:
-                pushed = dfs(s, 1 << 60)
-                if not pushed:
-                    break
-                flow += pushed
+    return _exact_degrees(spec) is not None
 
 
 def build_bounded_bipartite(spec: BipartiteDegreeSpec) -> Graph:
     """Construct a bipartite graph meeting all four bound families.
 
     Vertices 0..m-1 are the left class (in the spec's sorted order),
-    m..m+n-1 the right class.  Solved as a feasible circulation: source ->
-    left arcs carry [a_i, b_i], unit left -> right arcs, right -> sink
-    arcs carry [a'_j, b'_j]; lower bounds are shifted out by the standard
-    super-source reduction.  Raises Infeasible on an infeasible spec.
+    m..m+n-1 the right class.  The exact degrees come from
+    ``_exact_degrees`` and Ryser's greedy realizes them.  Raises
+    Infeasible on an infeasible spec.
     """
-    if not gale_ryser_feasible(spec):
+    degrees = _exact_degrees(spec)
+    if degrees is None:
         raise Infeasible("degree-bound spec admits no bipartite graph")
-    m, n = spec.m, spec.n
-    # nodes: s, left 1..m, right m+1..m+n, t, super source, super sink
-    s, t = 0, m + n + 1
-    ss, tt = m + n + 2, m + n + 3
-    net = _Dinic(m + n + 4)
-    excess = [0] * (m + n + 2)
-
-    def arc(u, v, low, cap):
-        excess[v] += low
-        excess[u] -= low
-        return net.add_edge(u, v, cap - low)
-
-    for i in range(m):
-        arc(s, 1 + i, spec.lower_left[i], spec.upper_left[i])
-    pair_arcs: dict[tuple[int, int], int] = {}
-    for i in range(m):
-        for j in range(n):
-            pair_arcs[(i, j)] = arc(1 + i, 1 + m + j, 0, 1)
-    for j in range(n):
-        arc(1 + m + j, t, spec.lower_right[j], spec.upper_right[j])
-    net.add_edge(t, s, m * n + 1)
-
-    need = 0
-    for node, ex in enumerate(excess):
-        if ex > 0:
-            net.add_edge(ss, node, ex)
-            need += ex
-        elif ex < 0:
-            net.add_edge(node, tt, -ex)
-    if net.max_flow(ss, tt) != need:
-        raise Infeasible("no feasible circulation for the degree-bound spec")
-
-    edges = [
-        (i, m + j)
-        for (i, j), idx in pair_arcs.items()
-        if net.cap[idx] == 0  # unit arc saturated => edge present
-    ]
-    g = Graph(m + n, sorted(edges))
+    m = spec.m
+    g = Graph(m + spec.n, sorted((i, m + j) for i, j in _greedy_edges(*degrees)))
     _audit(spec, g)
     return g
+
+
+def _exact_degrees(spec: BipartiteDegreeSpec):
+    """Exact degrees (left, right) within the bounds that some graph has, or None.
+
+    The edge total is the least that any graph within the bounds can have,
+    Hoffman's cut bound: the s left vertices with the largest lower bounds
+    meet each right vertex at most s times.  At that total each side takes
+    its flattest vector, the least in dominance order; conjugation reverses
+    dominance, so if any pair of that total passes Gale-Ryser, this does.
+    """
+    m, n = spec.m, spec.n
+    # sum_j max(b_j - s, 0) = sum_j b_j - sum_j min(b_j, s) for the right lower bounds b
+    total = sum(spec.lower_right) + _overflow(spec.lower_left, spec.lower_right)
+    left = _water_fill(spec.lower_left, [min(b, n) for b in spec.upper_left], total)
+    right = _water_fill(spec.lower_right, [min(b, m) for b in spec.upper_right], total)
+    if left is None or right is None or _overflow(sorted(left, reverse=True), right):
+        return None
+    return left, right
+
+
+def _water_fill(lower, upper, total):
+    """Flattest vector with entries in [lower_i, upper_i] summing to total, or None.
+
+    Raises a common level, each entry clamped into its bounds, as far as
+    the total allows; the first entries free to rise take the remainder.
+    The total must be at least sum(lower).
+    """
+    top = max(upper, default=0)
+    starts = [0] * (top + 1)  # entries free to rise at each level, by differences
+    for a, b in zip(lower, upper):
+        if a > b:
+            return None
+        starts[a] += 1
+        starts[b] -= 1
+    level, rest, free = 0, total - sum(lower), starts[0]
+    while level < top and free <= rest:
+        rest -= free
+        level += 1
+        free += starts[level]
+    if rest > free:
+        return None
+    out = []
+    for a, b in zip(lower, upper):
+        x = min(max(level, a), b)
+        if rest and a <= level < b:
+            x += 1
+            rest -= 1
+        out.append(x)
+    return out
+
+
+def _overflow(demands, caps) -> int:
+    """Largest excess of a prefix of ``demands`` over what ``caps`` can meet.
+
+    The maximum over k >= 0 of (sum of the first k demands) - sum_j
+    min(caps_j, k); the steps #{j : caps_j >= k} of the second sum come
+    from a histogram of the caps.  For non-increasing demands of the same
+    sum as the caps, 0 is the Gale-Ryser condition: some bipartite graph
+    has exactly these degrees on its two sides.
+    """
+    size = len(demands)
+    count = [0] * (size + 1)
+    for c in caps:
+        count[min(c, size)] += 1
+    reach = len(caps)  # caps >= k + 1
+    excess = worst = 0
+    for k, d in enumerate(demands):
+        reach -= count[k]
+        excess += d - reach
+        if excess > worst:
+            worst = excess
+    return worst
+
+
+def _greedy_edges(left, right) -> list[tuple[int, int]]:
+    """Ryser's greedy: edges (i, j) realizing exact degrees that pass Gale-Ryser.
+
+    Left vertices go in non-increasing degree order, each joining the right
+    vertices of largest remaining need.  The right side stays in one list
+    sorted by need: where the chosen prefix cuts a run of equal need, the
+    run's last members are taken, so the decremented list stays sorted.
+    """
+    ids = sorted(range(len(right)), key=lambda j: -right[j])
+    neg = [-right[j] for j in ids]  # negated needs, non-decreasing
+    edges = []
+    for i in sorted(range(len(left)), key=lambda i: -left[i]):
+        d = left[i]
+        if not d:
+            break
+        lo = bisect_left(neg, neg[d - 1])
+        hi = bisect_right(neg, neg[d - 1])
+        for p in chain(range(lo), range(hi - d + lo, hi)):
+            neg[p] += 1
+            edges.append((i, ids[p]))
+    return edges
 
 
 def _audit(spec: BipartiteDegreeSpec, g: Graph) -> None:

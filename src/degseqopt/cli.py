@@ -41,6 +41,7 @@ from .realize import (
     independent_tail_forest,
 )
 from .sequences import DegreeSequence, is_forest_sequence, is_graphic, normalize, parse_sequence_text
+from .solvers import _TABLE_MAX
 
 SCHEMA_VERSION = 1
 ORACLE_LIMIT_ENV = "DEGSEQOPT_ORACLE_LIMIT"
@@ -265,12 +266,19 @@ def _handle_bip_check(req: CommandRequest):
     if not raw.lstrip().startswith("{"):
         raw = Path(raw).read_text(encoding="utf-8")
     obj = json.loads(raw)
-    spec = BipartiteDegreeSpec.create(obj["a"], obj["b"], obj["ap"], obj["bp"])
+    bounds = [obj.get(key) if isinstance(obj, dict) else None for key in ("a", "b", "ap", "bp")]
+    if not all(isinstance(b, list) and all(type(x) is int for x in b) for b in bounds):
+        raise CliParseError(
+            'spec must be a JSON object {"a":[..],"b":[..],"ap":[..],"bp":[..]} of integer lists'
+        )
+    spec = BipartiteDegreeSpec.create(*bounds)
     feasible = gale_ryser_feasible(spec)
     edges = None
     if feasible:
         g = build_bounded_bipartite(spec)
-        edges = [[u + 1, v - spec.m + 1] for u, v in g.edges()]
+        edges = sorted(
+            [spec.left_order[u] + 1, spec.right_order[v - spec.m] + 1] for u, v in g.edges()
+        )
     payload = {"feasible": feasible, "edges": edges}
     text = f"feasible={_bool(feasible)}"
     if edges is not None:
@@ -297,6 +305,7 @@ def _handle_sweep(req: CommandRequest):
     limit = req.flags.get("limit")
     if limit is None:
         limit = DEFAULT_ORACLE_LIMITS[graph_class]
+    limit = min(limit, _TABLE_MAX)
     if n_max > limit:
         raise CliParseError(f"--n-max {n_max} exceeds oracle limit {limit}")
     checks = _SWEEP_CHECKS[graph_class]

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 
-from .bipartite import BipartiteDegreeSpec, build_bounded_bipartite, gale_ryser_feasible
+from .bipartite import _greedy_edges, _overflow
 from .errors import NotConnected, NotForestSequence, NotGraphic, PreconditionViolated
 from .graphs import Graph, RealizationWitness, WitnessClaim, degree_sequence
 from .realize import (
@@ -301,7 +301,7 @@ def _split_feasible(pos: DegreeSequence, k: int, delta: int):
         ]
         for L in lefts:
             for R in rights:
-                if gale_ryser_feasible(BipartiteDegreeSpec.exact(L, R)):
+                if not _overflow(R, L):
                     return L, R
     return None
 
@@ -321,11 +321,7 @@ def _assemble_split_witness(pos, k, head_profile, tail_profile) -> RealizationWi
     edges += _positional_edges(
         [pos.entries[k + j] - tail_profile[j] for j in range(p - k)], k
     )
-    spec = BipartiteDegreeSpec.exact(head_profile, tail_profile)
-    h = build_bounded_bipartite(spec)
-    edges += [
-        (spec.left_order[u], k + spec.right_order[v - k]) for u, v in h.edges()
-    ]
+    edges += [(i, k + j) for i, j in _greedy_edges(head_profile, tail_profile)]
     claims = {WitnessClaim.HEAD_DOMINATING, WitnessClaim.TAIL_DOMINATING}
     return RealizationWitness.checked(Graph(p, sorted(edges)), pos, k, claims)
 

@@ -161,35 +161,26 @@ def _enumerate_masks(
             return
         for chosen in combinations(candidates, r):
             if forest:
-                roots = {find(i)}
-                ok = True
-                for j in chosen:
-                    rj = find(j)
-                    if rj in roots:
-                        ok = False
-                        break
-                    roots.add(rj)
-                if not ok:
+                roots = [find(x) for x in (i, *chosen)]
+                if len(set(roots)) <= r:  # an edge would close a cycle
                     continue
             for j in chosen:
                 residual[j] -= 1
             residual[i] = 0
             if suffix_ok(i):
-                undo = []
-                ri = find(i)
                 for j in chosen:
                     masks[i] |= 1 << j
                     masks[j] |= 1 << i
-                    if forest:
-                        rj = find(j)
-                        undo.append(rj)
-                        parent[rj] = ri
+                if forest:
+                    for rj in roots[1:]:
+                        parent[rj] = roots[0]
                 rec(i + 1, state if fold is None else fold(i, masks[i], state))
                 for j in chosen:
                     masks[i] &= ~(1 << j)
                     masks[j] &= ~(1 << i)
-                for rj in reversed(undo):
-                    parent[rj] = rj
+                if forest:
+                    for rj in roots[1:]:
+                        parent[rj] = rj
             residual[i] = r
             for j in chosen:
                 residual[j] += 1

@@ -121,3 +121,47 @@ def test_exact_specs_cross_checked_against_bipartite_havel_hakimi():
         if expected:
             g = build_bounded_bipartite(spec)
             audit(spec, g)
+
+
+def test_exact_specs_up_to_60_vertices_match_bipartite_havel_hakimi():
+    # degrees of random bipartite graphs, and of Ferrers diagrams (every
+    # Gale-Ryser prefix tight) with one unit moved between left vertices
+    rng = random.Random(60)
+    for trial in range(160):
+        m, n = rng.randint(1, 60), rng.randint(1, 60)
+        if trial % 2:
+            left = [rng.randint(0, n) for _ in range(m)]
+            right = [sum(x > j for x in left) for j in range(n)]
+            i, j = rng.randrange(m), rng.randrange(m)
+            if left[j] > 0:
+                left[i] += 1
+                left[j] -= 1
+        else:
+            p = rng.random()
+            left, right = [0] * m, [0] * n
+            for i in range(m):
+                for j in range(n):
+                    if rng.random() < p:
+                        left[i] += 1
+                        right[j] += 1
+        spec = BipartiteDegreeSpec.exact(left, right)
+        expected = bipartite_exact_hh(left, right)
+        assert gale_ryser_feasible(spec) == expected, (left, right)
+        if expected:
+            audit(spec, build_bounded_bipartite(spec))
+
+
+def test_random_interval_specs_match_bruteforce_and_build_within_bounds():
+    rng = random.Random(8)
+    for _ in range(600):
+        sides = []
+        for size in (rng.randint(1, 8), rng.randint(1, 8)):
+            lower = [rng.randint(0, 5) for _ in range(size)]
+            sides += [lower, [rng.randint(a, 5) for a in lower]]
+        spec = BipartiteDegreeSpec.create(*sides)
+        expected = bipartite_exists_bruteforce(
+            spec.lower_left, spec.upper_left, spec.lower_right, spec.upper_right
+        )
+        assert gale_ryser_feasible(spec) == expected, sides
+        if expected:
+            audit(spec, build_bounded_bipartite(spec))

@@ -322,3 +322,36 @@ def test_bip_check_inline_spec():
     code, obj = run_json(["bip-check", "--spec", '{"a":[2,2],"b":[2,2],"ap":[1,1],"bp":[1,1]}'])
     assert code == EXIT_OK
     assert obj["feasible"] is False and obj["edges"] is None
+
+
+def test_bip_check_labels_edges_by_input_vertex():
+    # left vertex 1 is pinned to degree 0, so the one edge joins the second vertices
+    spec = '{"a":[0,1],"b":[0,1],"ap":[0,1],"bp":[0,1]}'
+    assert run_argv(["bip-check", "--spec", spec]) == (EXIT_OK, "feasible=true edges=2-2")
+    code, obj = run_json(["bip-check", "--spec", spec])
+    assert (code, obj["edges"]) == (EXIT_OK, [[2, 2]])
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        '{"a":1,"b":[1],"ap":[1],"bp":[1]}',
+        '{"a":[1.5],"b":[2],"ap":[1],"bp":[1]}',
+        '{"a":[true],"b":[1],"ap":[1],"bp":[1]}',
+        '{"a":["1"],"b":[1],"ap":[1],"bp":[1]}',
+    ],
+)
+def test_bip_check_rejects_malformed_specs(spec):
+    code, out = run_argv(["bip-check", "--spec", spec])
+    assert code == EXIT_PARSE and out.startswith("error: ")
+
+
+def test_sweep_beyond_the_subset_tables_is_refused_before_enumerating(monkeypatch):
+    from degseqopt import cli
+
+    def enumerate_nothing(*args, **kwargs):
+        raise AssertionError("sweep enumerated sequences")
+
+    monkeypatch.setattr(cli, "iter_degree_sequences", enumerate_nothing)
+    code, out = run_argv(["sweep", "--n-max", "15", "--limit", "20"])
+    assert (code, out) == (EXIT_PARSE, "error: --n-max 15 exceeds oracle limit 14")

@@ -225,6 +225,12 @@ def test_gamma_min_bounded_near_uniform_delta5_n100():
         assert _split_feasible(pos, k, d.max_entry) is None
 
 
+def test_gamma_min_bounded_on_3000_vertices_with_degrees_1_to_3():
+    res = gamma_min_bounded(normalize([1 + i % 3 for i in range(3000)]))
+    assert res.value == res.achieving_k == 750
+    assert validate_witness(res.witness).ok
+
+
 def test_gamma_min_result_never_below_slater():
     rng = random.Random(3)
     for _ in range(60):
