@@ -32,7 +32,7 @@ from .errors import (
     PreconditionViolated,
     TooLarge,
 )
-from .graphs import Graph, graph_from_json_obj, parse_edge_list_text, witness_to_json_obj
+from .graphs import Graph, _edge_list_parts, _json_graph_parts, witness_to_json_obj
 from .oracle import DEFAULT_ORACLE_LIMITS, GraphClass, iter_degree_sequences, oracle_extrema
 from .realize import (
     forest_realize,
@@ -41,7 +41,7 @@ from .realize import (
     independent_tail_forest,
 )
 from .sequences import DegreeSequence, is_forest_sequence, is_graphic, normalize, parse_sequence_text
-from .solvers import _TABLE_MAX
+from .solvers import DEFAULT_SOLVER_LIMIT, _TABLE_MAX, _check_limit
 
 SCHEMA_VERSION = 1
 ORACLE_LIMIT_ENV = "DEGSEQOPT_ORACLE_LIMIT"
@@ -237,8 +237,12 @@ def _load_graph(path: str) -> Graph:
     text = Path(path).read_text(encoding="utf-8")
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        return graph_from_json_obj(json.loads(text))
-    return parse_edge_list_text(text)
+        n, edges = _json_graph_parts(json.loads(text))
+    else:
+        n, edges = _edge_list_parts(text)
+    # refuse before allocating: a graph costs memory in its declared n
+    _check_limit(n, DEFAULT_SOLVER_LIMIT)
+    return Graph(n, edges)
 
 
 def _handle_slater_bound(req: CommandRequest):
@@ -263,7 +267,7 @@ def _handle_slater_bound(req: CommandRequest):
 
 def _handle_bip_check(req: CommandRequest):
     raw = req.spec_text
-    if not raw.lstrip().startswith("{"):
+    if not raw.lstrip().startswith(("{", "[")):
         raw = Path(raw).read_text(encoding="utf-8")
     obj = json.loads(raw)
     bounds = [obj.get(key) if isinstance(obj, dict) else None for key in ("a", "b", "ap", "bp")]

@@ -241,6 +241,10 @@ def validate_witness(w: RealizationWitness) -> WitnessReport:
 
 def parse_edge_list_text(text: str) -> Graph:
     """Parse the edge-list format: first line "n m", then m lines "i j" (1-based)."""
+    return Graph(*_edge_list_parts(text))
+
+
+def _edge_list_parts(text: str) -> tuple[int, list[tuple[int, int]]]:
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
     if not lines:
         raise ValueError("empty edge-list input")
@@ -257,14 +261,24 @@ def parse_edge_list_text(text: str) -> Graph:
             raise ValueError(f"bad edge line {ln!r}")
         i, j = int(parts[0]), int(parts[1])
         edges.append((i - 1, j - 1))
-    return Graph(n, edges)
+    return n, edges
 
 
 def graph_from_json_obj(obj: dict) -> Graph:
     """Build a graph from {"n": int, "edges": [[i, j], ...]} with 1-based indices."""
-    n = int(obj["n"])
-    edges = [(int(e[0]) - 1, int(e[1]) - 1) for e in obj.get("edges", [])]
-    return Graph(n, edges)
+    return Graph(*_json_graph_parts(obj))
+
+
+def _json_graph_parts(obj) -> tuple[int, list[tuple[int, int]]]:
+    n = obj.get("n") if isinstance(obj, dict) else None
+    if type(n) is not int:  # bool is an int subclass, and not a vertex count
+        raise ValueError('graph JSON must be an object with an integer "n"')
+    edges = obj.get("edges", [])
+    if not isinstance(edges, list) or not all(
+        isinstance(e, list) and len(e) == 2 and all(type(x) is int for x in e) for e in edges
+    ):
+        raise ValueError('graph JSON "edges" must be a list of [i, j] integer pairs')
+    return n, [(i - 1, j - 1) for i, j in edges]
 
 
 def graph_to_json_obj(g: Graph) -> dict:

@@ -272,6 +272,38 @@ def test_slater_bound_accepts_json_graph(tmp_path):
     assert obj["holds"] is True and obj["gamma"] == 1
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"n": 3, "edges": [[1]]}',
+        '{"n": 3, "edges": [[1, 2.7], [2, 3]]}',
+        '{"n": true, "edges": []}',
+        '{"edges": [[1, 2]]}',
+    ],
+)
+def test_slater_bound_rejects_malformed_json_graphs(tmp_path, text):
+    f = tmp_path / "g.json"
+    f.write_text(text)
+    code, out = run_argv(["slater-bound", "--graph", str(f)])
+    assert code == EXIT_PARSE and out.startswith("error: graph JSON ")
+
+
+@pytest.mark.parametrize("text", ['{"n": 1000000, "edges": []}', "1000000 0\n"])
+def test_slater_bound_refuses_a_huge_declared_n_in_little_memory(tmp_path, text):
+    import tracemalloc
+
+    f = tmp_path / "g"
+    f.write_text(text)
+    tracemalloc.start()
+    try:
+        code, out = run_argv(["slater-bound", "--graph", str(f)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_PRECONDITION and peak < 10**7
+    assert out == "error: graph has 1000000 vertices, solver limit is 32"
+
+
 def test_slater_bound_rejects_disconnected(tmp_path):
     f = tmp_path / "g.txt"
     f.write_text("4 2\n1 2\n3 4\n")
@@ -294,28 +326,42 @@ def test_zero_entry_sequences_through_the_cli():
     assert (code, out) == (EXIT_OK, "n=2 edges=-")
 
 
-def test_forest_witnesses_on_a_5000_vertex_path():
-    # the forest builder once recursed per vertex and hit the recursion limit
+def _assert_cli_forest_witnesses(seq):
     from degseqopt import (
         RealizationWitness, WitnessClaim, graph_from_json_obj, normalize, validate_witness,
     )
 
-    seq = ",".join(["2"] * 4998 + ["1", "1"])
     code, obj = run_json(["realize", "forest", seq])
     assert code == EXIT_OK
     g = graph_from_json_obj(obj)
     assert g.is_forest() and g.degrees == normalize(seq.split(",")).entries
 
     code, obj = run_json(["forest", "alpha-max", seq, "--witness"])
-    assert code == EXIT_OK and obj["value"] == 2500
+    assert code == EXIT_OK
     w = obj["witness"]
     witness = RealizationWitness(
-        graph_from_json_obj({"n": 5000, "edges": w["edges"]}),
+        graph_from_json_obj({"n": g.n, "edges": w["edges"]}),
         normalize(w["sequence"]),
         w["k"],
         frozenset(WitnessClaim(c) for c in w["claims"]),
     )
     assert validate_witness(witness).ok
+    return obj["value"]
+
+
+def test_forest_witnesses_on_a_5000_vertex_path():
+    # the forest builder once recursed per vertex and hit the recursion limit
+    assert _assert_cli_forest_witnesses(",".join(["2"] * 4998 + ["1", "1"])) == 2500
+
+
+def test_forest_witnesses_on_a_20000_vertex_prufer_tree():
+    import random
+
+    rng = random.Random(20150716)
+    degrees = [1] * 20000
+    for _ in range(20000 - 2):
+        degrees[rng.randrange(20000)] += 1
+    _assert_cli_forest_witnesses(",".join(map(str, degrees)))
 
 
 def test_bip_check_inline_spec():
@@ -339,11 +385,12 @@ def test_bip_check_labels_edges_by_input_vertex():
         '{"a":[1.5],"b":[2],"ap":[1],"bp":[1]}',
         '{"a":[true],"b":[1],"ap":[1],"bp":[1]}',
         '{"a":["1"],"b":[1],"ap":[1],"bp":[1]}',
+        "[1]",  # inline JSON, not a file path
     ],
 )
 def test_bip_check_rejects_malformed_specs(spec):
     code, out = run_argv(["bip-check", "--spec", spec])
-    assert code == EXIT_PARSE and out.startswith("error: ")
+    assert code == EXIT_PARSE and out.startswith("error: spec must be a JSON object")
 
 
 def test_sweep_beyond_the_subset_tables_is_refused_before_enumerating(monkeypatch):

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from degseqopt import (
+    Graph,
     NotForestSequence,
     NotGraphic,
     PreconditionViolated,
@@ -20,6 +21,7 @@ from degseqopt import (
     validate_witness,
 )
 from degseqopt.oracle import iter_degree_sequences
+from degseqopt.realize import _independent_tail_edges
 
 
 def forest_sequences(n_max, positive_only=True):
@@ -119,7 +121,7 @@ def test_independent_tail_base_case():
 
 def test_independent_tail_three_stars_golden():
     w = independent_tail_forest(normalize([2, 2, 2, 1, 1, 1, 1, 1, 1]), 3)
-    assert w.graph.edges() == [(0, 3), (0, 8), (1, 4), (1, 7), (2, 5), (2, 6)]
+    assert w.graph.edges() == [(0, 5), (0, 6), (1, 4), (1, 7), (2, 3), (2, 8)]
     # three stars with the degree-2 vertices as centers
     assert all(w.graph.degree(i) == 2 for i in range(3))
 
@@ -140,6 +142,40 @@ def test_independent_tail_rejects_bad_input():
         independent_tail_forest(normalize([2, 1, 1, 1, 1]), 1)  # head sum too small
     with pytest.raises(PreconditionViolated):
         independent_tail_forest(normalize([1, 1]), 5)  # k out of range
+
+
+def _assert_independent_tail_forest(degrees, k, edges):
+    g = Graph(len(degrees), edges)
+    assert g.degrees == tuple(degrees)
+    assert g.is_forest()
+    assert all(u < k for u, v in edges), "an edge joins two tail vertices"
+
+
+def test_leaf_peel_every_split_up_to_n10():
+    splits = 0
+    for d in forest_sequences(10):
+        for k in range(1, d.n + 1):
+            if d.prefix(k) >= d.suffix(k):
+                _assert_independent_tail_forest(
+                    d.entries, k, _independent_tail_edges(d.entries, k)
+                )
+                splits += 1
+    assert splits == 774
+
+
+def test_leaf_peel_on_unsorted_splits():
+    rng = random.Random(20150716)
+    checked = 0
+    while checked < 3000:
+        n = rng.randint(2, 40)
+        degrees = [1] * n  # c trees: sum 2n - 2c, every entry positive
+        for _ in range(n - 2 * rng.randint(1, n // 2)):
+            degrees[rng.randrange(n)] += 1
+        k = rng.randint(1, n)
+        if sum(degrees[:k]) < sum(degrees[k:]):
+            continue
+        _assert_independent_tail_forest(degrees, k, _independent_tail_edges(degrees, k))
+        checked += 1
 
 
 def test_independent_tail_sweep_all_valid_splits_up_to_n9():
@@ -274,9 +310,6 @@ def test_independent_dominating_head_random_families_beyond_n9():
 
 
 def test_bipartite_forest_meets_every_feasible_degree_pair():
-    from degseqopt import Graph
-    from degseqopt.realize import _bipartite_forest
-
     def compositions(total, parts):
         if parts == 1:
             yield (total,)
@@ -292,10 +325,9 @@ def test_bipartite_forest_meets_every_feasible_degree_pair():
                     continue
                 for left in compositions(total, a):
                     for right in compositions(total, b):
-                        edges = _bipartite_forest(left, right)
-                        g = Graph(a + b, [(i, a + j) for i, j in edges])
-                        assert g.is_forest()
-                        assert g.degrees == left + right
+                        edges = _independent_tail_edges(left + right, a)
+                        _assert_independent_tail_forest(left + right, a, edges)
+                        assert all(u < a <= v for u, v in edges)
 
 
 @given(st.integers(min_value=0, max_value=10**6))
