@@ -5,6 +5,13 @@ or a graph/spec file, prints a one-line human-readable report by default,
 and mirrors it as versioned JSON under ``--json``.  Output is
 deterministic byte-for-byte for a fixed input and flag set.
 
+Each subparser binds its handler and the JSON ``command`` name with
+``set_defaults``; ``run`` calls the handler on the parsed arguments and
+maps its exceptions to exit codes.  The oracle size limit of ``oracle``
+and ``sweep`` is ``--limit`` if given, else ``DEGSEQOPT_ORACLE_LIMIT``,
+else 8 (general) / 9 (forest), and never reaches past 14 vertices; a
+malformed ``DEGSEQOPT_ORACLE_LIMIT`` exits 1 with a message on stderr.
+
 Exit codes: 0 success, 1 parse/usage errors, 2 domain precondition
 violations (non-graphic input, infeasible spec, ...), 3 internal errors:
 invariant breaches (sweep mismatches, failed witness validation) and any
@@ -18,7 +25,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import extremal, oracle
@@ -66,38 +72,6 @@ class CliParseError(Exception):
     """Raised for malformed command lines and inputs; maps to exit 1."""
 
 
-@dataclass
-class CommandRequest:
-    """A validated, dispatchable CLI invocation.
-
-    Exactly one input source is set: an inline sequence, a graph file, an
-    inline/file bipartite spec, or none for input-free commands (sweep).
-    """
-
-    subcommand: str
-    sequence_text: str | None = None
-    graph_path: str | None = None
-    spec_text: str | None = None
-    flags: dict = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        sources = [
-            s for s in (self.sequence_text, self.graph_path, self.spec_text) if s is not None
-        ]
-        if len(sources) > 1:
-            raise CliParseError("more than one input source in one request")
-        if self.flags.get("witness") and self.subcommand not in (
-            "gamma-min",
-            "forest gamma-min",
-            "forest alpha-max",
-        ):
-            raise CliParseError(f"--witness is not valid for {self.subcommand!r}")
-
-
-def _sequence(req: CommandRequest) -> DegreeSequence:
-    return parse_sequence_text(req.sequence_text)
-
-
 def _sequence_obj(d: DegreeSequence) -> dict:
     return {
         "sorted": list(d.entries),
@@ -139,19 +113,19 @@ def _bool(x: bool) -> str:
 
 
 # --------------------------------------------------------------------------
-# handlers: CommandRequest -> (payload, text, exit_code)
+# handlers: parsed arguments -> (payload, text, exit_code)
 
 
-def _handle_check(req: CommandRequest):
-    d = _sequence(req)
+def _handle_check(args: argparse.Namespace):
+    d = parse_sequence_text(args.sequence)
     graphic = is_graphic(d)
     forest = is_forest_sequence(d)
     payload = {"graphic": graphic, "forest": forest, "sequence": _sequence_obj(d)}
     return payload, f"graphic={_bool(graphic)} forest={_bool(forest)}", EXIT_OK
 
 
-def _handle_bounds(req: CommandRequest):
-    d = _sequence(req)
+def _handle_bounds(args: argparse.Namespace):
+    d = parse_sequence_text(args.sequence)
     chain = extremal.bound_chain(d)
     payload = dict(_chain_obj(chain))
     payload["sequence"] = _sequence_obj(d)
@@ -162,15 +136,12 @@ def _handle_bounds(req: CommandRequest):
     return payload, text, EXIT_OK
 
 
-def _extremal_handler(func, key):
-    def handle(req: CommandRequest):
-        d = _sequence(req)
-        kwargs = {}
-        if key == "gamma_min" and req.flags.get("delta_cap") is not None:
-            kwargs["delta_cap"] = req.flags["delta_cap"]
-        res = func(d, **kwargs)
-        payload = _result_payload(d, res, req.flags.get("witness", False))
-        text = f"{key}={res.value}"
+def _extremal_handler(func):
+    def handle(args: argparse.Namespace):
+        d = parse_sequence_text(args.sequence)
+        res = func(d, delta_cap=args.delta_cap) if "delta_cap" in args else func(d)
+        payload = _result_payload(d, res, getattr(args, "witness", False))
+        text = f"{res.parameter.value}={res.value}"
         if res.achieving_k is not None:
             text += f" k={res.achieving_k}"
         if payload["witness"] is not None:
@@ -180,21 +151,18 @@ def _extremal_handler(func, key):
     return handle
 
 
-def _handle_realize(req: CommandRequest):
-    d = _sequence(req)
-    variant = req.flags["variant"]
-    k = req.flags.get("k")
+def _handle_realize(args: argparse.Namespace):
+    d = parse_sequence_text(args.sequence)
+    variant = args.realize_command
     if variant in ("indep-tail", "indep-dom"):
-        if k is None:
-            raise CliParseError(f"realize {variant} requires --k")
         builder = (
             independent_tail_forest if variant == "indep-tail"
             else independent_dominating_head_forest
         )
-        witness = builder(d, k)
+        witness = builder(d, args.k)
         payload = {"variant": variant, "witness": witness_to_json_obj(witness)}
         text = (
-            f"n={d.n} k={k} edges={_edges_text(payload['witness']['edges'])} "
+            f"n={d.n} k={args.k} edges={_edges_text(payload['witness']['edges'])} "
             f"claims={','.join(payload['witness']['claims'])}"
         )
         return payload, text, EXIT_OK
@@ -209,10 +177,10 @@ def _handle_realize(req: CommandRequest):
     return payload, f"n={graph.n} edges={_edges_text(edges)}", EXIT_OK
 
 
-def _handle_oracle(req: CommandRequest):
-    d = _sequence(req)
-    graph_class = GraphClass.FOREST if req.flags.get("forest") else GraphClass.GENERAL
-    rep = oracle_extrema(d, graph_class, limit=req.flags.get("limit"))
+def _handle_oracle(args: argparse.Namespace):
+    d = parse_sequence_text(args.sequence)
+    graph_class = GraphClass.FOREST if args.forest else GraphClass.GENERAL
+    rep = oracle_extrema(d, graph_class, limit=args.limit)
     payload = {
         "graph_class": graph_class.value,
         "count": rep.realization_count,
@@ -245,8 +213,8 @@ def _load_graph(path: str) -> Graph:
     return Graph(n, edges)
 
 
-def _handle_slater_bound(req: CommandRequest):
-    g = _load_graph(req.graph_path)
+def _handle_slater_bound(args: argparse.Namespace):
+    g = _load_graph(args.graph)
     rep = extremal.check_slater_bound(g)
     payload = {
         "holds": rep.holds,
@@ -265,8 +233,8 @@ def _handle_slater_bound(req: CommandRequest):
     return payload, text, code
 
 
-def _handle_bip_check(req: CommandRequest):
-    raw = req.spec_text
+def _handle_bip_check(args: argparse.Namespace):
+    raw = args.spec
     if not raw.lstrip().startswith(("{", "[")):
         raw = Path(raw).read_text(encoding="utf-8")
     obj = json.loads(raw)
@@ -303,30 +271,30 @@ _SWEEP_CHECKS = {
 }
 
 
-def _handle_sweep(req: CommandRequest):
-    n_max = req.flags["n_max"]
-    graph_class = GraphClass.FOREST if req.flags.get("forest") else GraphClass.GENERAL
-    limit = req.flags.get("limit")
-    if limit is None:
-        limit = DEFAULT_ORACLE_LIMITS[graph_class]
+def _handle_sweep(args: argparse.Namespace):
+    n_max = args.n_max
+    forest = args.forest
+    graph_class = GraphClass.FOREST if forest else GraphClass.GENERAL
+    limit = DEFAULT_ORACLE_LIMITS[graph_class] if args.limit is None else args.limit
     limit = min(limit, _TABLE_MAX)
     if n_max > limit:
         raise CliParseError(f"--n-max {n_max} exceeds oracle limit {limit}")
+    first = 2 if forest else 1  # smallest order with a sequence of the class
+    if n_max < first:
+        raise CliParseError(f"--n-max {n_max} is below {first}: no {graph_class.value} "
+                            "sequence would be checked")
     checks = _SWEEP_CHECKS[graph_class]
-    params = req.flags.get("params") or sorted(checks)
+    params = [p.strip() for p in (args.params or "").split(",") if p.strip()] or sorted(checks)
     unknown = [p for p in params if p not in checks]
     if unknown:
         raise CliParseError(f"unknown parameters for {graph_class.value} sweep: {unknown}")
 
     checked = {p: 0 for p in params}
     mismatches = {p: [] for p in params}
-    for n in range(2 if graph_class is GraphClass.FOREST else 1, n_max + 1):
-        positive = graph_class is GraphClass.FOREST
-        for seq in iter_degree_sequences(n, positive_only=positive):
+    for n in range(first, n_max + 1):
+        for seq in iter_degree_sequences(n, positive_only=forest):
             d = normalize(list(seq))
-            if graph_class is GraphClass.GENERAL and not is_graphic(d):
-                continue
-            if graph_class is GraphClass.FOREST and not is_forest_sequence(d):
+            if not (is_forest_sequence(d) if forest else is_graphic(d)):
                 continue
             rep = oracle_extrema(d, graph_class, limit=limit)
             for p in params:
@@ -353,35 +321,18 @@ def _handle_sweep(req: CommandRequest):
     return payload, "\n".join(lines), EXIT_OK if ok else EXIT_INTERNAL
 
 
-_HANDLERS = {
-    "check": _handle_check,
-    "bounds": _handle_bounds,
-    "omega-max": _extremal_handler(extremal.omega_max, "omega_max"),
-    "alpha-max": _extremal_handler(extremal.alpha_max, "alpha_max"),
-    "gamma-min": _extremal_handler(extremal.gamma_min_bounded, "gamma_min"),
-    "forest gamma-min": _extremal_handler(extremal.gamma_min_forest, "gamma_min_forest"),
-    "forest alpha-max": _extremal_handler(extremal.alpha_max_forest, "alpha_max_forest"),
-    "realize": _handle_realize,
-    "oracle": _handle_oracle,
-    "slater-bound": _handle_slater_bound,
-    "bip-check": _handle_bip_check,
-    "sweep": _handle_sweep,
-}
-
-
-def run(request: CommandRequest) -> tuple[int, str]:
-    """Execute a request; returns (exit code, emitted report)."""
-    as_json = request.flags.get("json", False)
+def run(args: argparse.Namespace) -> tuple[int, str]:
+    """Run the handler the parser bound; returns (exit code, emitted report)."""
 
     def emit(obj: dict, text: str) -> str:
-        if as_json:
-            envelope = {"schema_version": SCHEMA_VERSION, "command": request.subcommand}
+        if args.json:
+            envelope = {"schema_version": SCHEMA_VERSION, "command": args.command}
             envelope.update(obj)
             return json.dumps(envelope, sort_keys=True)
         return text
 
     try:
-        payload, text, code = _HANDLERS[request.subcommand](request)
+        payload, text, code = args.handler(args)
     except CliParseError as exc:
         return EXIT_PARSE, emit(_error_obj(exc), f"error: {exc}")
     except _PRECONDITION_ERRORS as exc:
@@ -410,42 +361,45 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="degseqopt", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_json(p):
+    def add_json(p, command, handler):  # last call on every leaf subparser
         p.add_argument("--json", action="store_true", help="emit structured JSON")
+        p.set_defaults(command=command, handler=handler)
 
     def add_seq(p):
         p.add_argument("sequence", help="degree sequence, e.g. 3,2,2,1 or '3 2 2 1'")
 
     p = sub.add_parser("check", help="graphicality and forest realizability")
-    add_seq(p), add_json(p)
+    add_seq(p), add_json(p, "check", _handle_check)
 
     p = sub.add_parser("bounds", help="Slater number, annihilation number, and the forest bracket")
-    add_seq(p), add_json(p)
+    add_seq(p), add_json(p, "bounds", _handle_bounds)
 
-    for name, helptext in (
-        ("omega-max", "largest clique number over realizations"),
-        ("alpha-max", "largest independence number over realizations"),
+    for name, func, helptext in (
+        ("omega-max", extremal.omega_max, "largest clique number over realizations"),
+        ("alpha-max", extremal.alpha_max, "largest independence number over realizations"),
     ):
         p = sub.add_parser(name, help=helptext)
-        add_seq(p), add_json(p)
+        add_seq(p), add_json(p, name, _extremal_handler(func))
 
     p = sub.add_parser("gamma-min", help="smallest domination number over realizations")
     add_seq(p)
     p.add_argument("--delta-cap", type=int, default=None, metavar="D",
                    help="reject sequences with maximum entry above D")
     p.add_argument("--witness", action="store_true", help="attach a witness realization")
-    add_json(p)
+    add_json(p, "gamma-min", _extremal_handler(extremal.gamma_min_bounded))
 
     p = sub.add_parser("forest", help="forest-restricted extremal parameters")
     fsub = p.add_subparsers(dest="forest_command", required=True)
-    for name, helptext in (
-        ("gamma-min", "smallest domination number over forest realizations"),
-        ("alpha-max", "largest independence number over forest realizations"),
+    for name, func, helptext in (
+        ("gamma-min", extremal.gamma_min_forest,
+         "smallest domination number over forest realizations"),
+        ("alpha-max", extremal.alpha_max_forest,
+         "largest independence number over forest realizations"),
     ):
         fp = fsub.add_parser(name, help=helptext)
         add_seq(fp)
         fp.add_argument("--witness", action="store_true")
-        add_json(fp)
+        add_json(fp, f"forest {name}", _extremal_handler(func))
 
     p = sub.add_parser("realize", help="construct a concrete realization")
     rsub = p.add_subparsers(dest="realize_command", required=True)
@@ -459,24 +413,24 @@ def _build_parser() -> _Parser:
         add_seq(rp)
         if name in ("indep-tail", "indep-dom"):
             rp.add_argument("--k", type=int, required=True, help="split index")
-        add_json(rp)
+        add_json(rp, "realize", _handle_realize)
 
     p = sub.add_parser("oracle", help="exhaustive extrema over all realizations")
     add_seq(p)
     p.add_argument("--forest", action="store_true", help="restrict to forest realizations")
     p.add_argument("--limit", type=int, default=None, help="oracle size limit")
-    add_json(p)
+    add_json(p, "oracle", _handle_oracle)
 
     p = sub.add_parser("slater-bound",
                        help="check gamma <= 3*slater + 2*(cycle excess) - 2 on a connected graph")
     p.add_argument("--graph", required=True, metavar="FILE",
                    help="edge-list file ('n m' header) or JSON {\"n\":..,\"edges\":[[i,j],..]}")
-    add_json(p)
+    add_json(p, "slater-bound", _handle_slater_bound)
 
     p = sub.add_parser("bip-check", help="bounded-degree bipartite feasibility (debug)")
     p.add_argument("--spec", required=True,
                    help='JSON {"a":[..],"b":[..],"ap":[..],"bp":[..]} inline or a file path')
-    add_json(p)
+    add_json(p, "bip-check", _handle_bip_check)
 
     p = sub.add_parser("sweep", help="compare formulas against the oracle over all sequences")
     p.add_argument("--n-max", type=int, required=True)
@@ -484,7 +438,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--params", default=None,
                    help="comma-separated parameter names (default: all for the class)")
     p.add_argument("--limit", type=int, default=None, help="oracle size limit")
-    add_json(p)
+    add_json(p, "sweep", _handle_sweep)
 
     return parser
 
@@ -499,56 +453,17 @@ def _default_oracle_limit() -> int | None:
         raise CliParseError(f"bad {ORACLE_LIMIT_ENV}={raw!r}") from exc
 
 
-def _request_from_args(args: argparse.Namespace) -> CommandRequest:
-    command = args.command
-    flags = {"json": getattr(args, "json", False)}
-    sequence = getattr(args, "sequence", None)
-    graph_path = None
-    spec_text = None
-
-    if command == "forest":
-        command = f"forest {args.forest_command}"
-        flags["witness"] = args.witness
-    elif command == "realize":
-        flags["variant"] = args.realize_command
-        flags["k"] = getattr(args, "k", None)
-    elif command == "gamma-min":
-        flags["witness"] = args.witness
-        flags["delta_cap"] = args.delta_cap
-    elif command == "oracle":
-        flags["forest"] = args.forest
-        flags["limit"] = args.limit if args.limit is not None else _default_oracle_limit()
-    elif command == "slater-bound":
-        graph_path = args.graph
-    elif command == "bip-check":
-        spec_text = args.spec
-    elif command == "sweep":
-        flags["n_max"] = args.n_max
-        flags["forest"] = args.forest
-        flags["limit"] = args.limit if args.limit is not None else _default_oracle_limit()
-        flags["params"] = (
-            [p.strip() for p in args.params.split(",") if p.strip()] if args.params else None
-        )
-
-    return CommandRequest(
-        subcommand=command,
-        sequence_text=sequence,
-        graph_path=graph_path,
-        spec_text=spec_text,
-        flags=flags,
-    )
-
-
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        request = _request_from_args(args)
+        if "limit" in args and args.limit is None:
+            args.limit = _default_oracle_limit()
     except CliParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    code, report = run(request)
+    code, report = run(args)
     try:
         print(report, flush=True)
     except BrokenPipeError:

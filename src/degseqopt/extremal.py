@@ -44,7 +44,6 @@ from .sequences import (
     annihilation,
     is_forest_sequence,
     is_graphic,
-    normalize,
     slater,
 )
 from .solvers import DEFAULT_SOLVER_LIMIT, domination_number
@@ -172,8 +171,8 @@ def _rao_clique_feasible(entries: tuple[int, ...], k: int) -> bool:
     return _graphic_erdos_gallai(out)
 
 
-def omega_max(d: DegreeSequence) -> ExtremalResult:
-    """Largest clique number among all realizations of ``d``.
+def _largest_clique(entries: tuple[int, ...]) -> int:
+    """Largest k with a k-clique in some realization of graphic ``entries``.
 
     By Rao's theorem a k-clique exists in some realization iff one exists
     on the k largest-degree vertices, which ``_rao_clique_feasible`` tests;
@@ -181,13 +180,10 @@ def omega_max(d: DegreeSequence) -> ExtremalResult:
     in k.  The search gallops down from the top candidate hi (the largest
     k with d_k >= k - 1), trying hi, hi-1, hi-3, hi-7, ... until a k is
     feasible, then bisects the gap above it: O(log n) peels, and one or
-    two on dense inputs, whose answer sits near the top.
+    two on dense inputs, whose answer sits near the top.  Needs
+    ``entries`` non-increasing.
     """
-    if not is_graphic(d):
-        raise NotGraphic(f"{d.entries} is not graphic")
-    chain = bound_chain(d)
-    entries = d.entries
-    good = max(k for k in range(1, d.n + 1) if entries[k - 1] >= k - 1)
+    good = max(k for k in range(1, len(entries) + 1) if entries[k - 1] >= k - 1)
     bad, step = good + 1, 1
     while not _rao_clique_feasible(entries, good):
         if good == 1:
@@ -199,19 +195,26 @@ def omega_max(d: DegreeSequence) -> ExtremalResult:
             good = mid
         else:
             bad = mid
-    return ExtremalResult(ExtremalParameter.OMEGA_MAX, good, chain)
+    return good
+
+
+def omega_max(d: DegreeSequence) -> ExtremalResult:
+    """Largest clique number among all realizations of ``d``."""
+    if not is_graphic(d):
+        raise NotGraphic(f"{d.entries} is not graphic")
+    return ExtremalResult(ExtremalParameter.OMEGA_MAX, _largest_clique(d.entries), bound_chain(d))
 
 
 def alpha_max(d: DegreeSequence) -> ExtremalResult:
     """Largest independence number among all realizations of ``d``.
 
     Equals the largest clique number over realizations of the complement
-    sequence (n-1-d_n, ..., n-1-d_1).
+    sequence (n-1-d_n, ..., n-1-d_1), which is graphic with ``d`` and
+    already non-increasing.
     """
     if not is_graphic(d):
         raise NotGraphic(f"{d.entries} is not graphic")
-    comp = normalize([d.n - 1 - x for x in d.entries])
-    value = omega_max(comp).value
+    value = _largest_clique(tuple(d.n - 1 - x for x in reversed(d.entries)))
     return ExtremalResult(ExtremalParameter.ALPHA_MAX, value, bound_chain(d))
 
 
@@ -265,7 +268,7 @@ def _profiles_with_sum(caps: list[int], total: int):
         v -= 1
 
 
-def _split_feasible(pos: DegreeSequence, k: int, delta: int):
+def _split_feasible(pos: DegreeSequence, k: int):
     """First cross-degree profile (head, tail) making split size k feasible.
 
     A profile fixes how many edges each vertex sends across the split.
@@ -279,8 +282,8 @@ def _split_feasible(pos: DegreeSequence, k: int, delta: int):
     p = pos.n
     if k == p:
         return "whole"
-    head_caps = [min(pos.entries[i], delta, p - k) for i in range(k)]
-    tail_caps = [min(pos.entries[k + j], delta, k) for j in range(p - k)]
+    head_caps = [min(pos.entries[i], p - k) for i in range(k)]
+    tail_caps = [min(pos.entries[k + j], k) for j in range(p - k)]
     top = min(sum(accumulate(head_caps, min)), sum(accumulate(tail_caps, min)))
     for total in range(max(k, p - k), top + 1):
         lefts = [
@@ -343,10 +346,9 @@ def gamma_min_bounded(d: DegreeSequence, delta_cap: int | None = None) -> Extrem
         raise PreconditionViolated(
             f"maximum entry {d.max_entry} exceeds delta cap {delta_cap}"
         )
-    delta = d.max_entry if delta_cap is None else delta_cap
-    if delta > 4 and d.n >= 40:
+    if d.max_entry > 4 and d.n >= 40:
         warnings.warn(
-            f"profile scan over degree bound {delta} at n={d.n} may be very slow",
+            f"profile scan over degree bound {d.max_entry} at n={d.n} may be very slow",
             RuntimeWarning,
             stacklevel=2,
         )
@@ -355,7 +357,7 @@ def gamma_min_bounded(d: DegreeSequence, delta_cap: int | None = None) -> Extrem
     if pos is None:
         return ExtremalResult(ExtremalParameter.GAMMA_MIN, d.n, chain)
     for k in range(slater(pos), pos.n + 1):
-        found = _split_feasible(pos, k, delta)
+        found = _split_feasible(pos, k)
         if found is None:
             continue
         if found == "whole":

@@ -203,14 +203,6 @@ class RealizationWitness:
             )
         return w
 
-    @property
-    def head(self) -> tuple[int, ...]:
-        return tuple(range(self.split_k))
-
-    @property
-    def tail(self) -> tuple[int, ...]:
-        return tuple(range(self.split_k, self.graph.n))
-
 
 def _dominates(g: Graph, inside: range, outside: range) -> bool:
     return all(any(w in inside for w in g.adjacency_sets[v]) for v in outside)

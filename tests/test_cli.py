@@ -11,8 +11,6 @@ from degseqopt.cli import (
     EXIT_OK,
     EXIT_PARSE,
     EXIT_PRECONDITION,
-    CommandRequest,
-    CliParseError,
     main,
     run,
 )
@@ -25,9 +23,7 @@ SCHEMA = json.loads(
 def run_argv(argv):
     from degseqopt import cli
 
-    parser = cli._build_parser()
-    args = parser.parse_args(argv)
-    return run(cli._request_from_args(args))
+    return run(cli._build_parser().parse_args(argv))
 
 
 def run_json(argv):
@@ -82,10 +78,10 @@ def test_internal_error_exit_code(monkeypatch):
 
     # a package error that signals a bug, and any other exception
     for error in (InvalidWitness, RuntimeError):
-        def boom(req):
+        def boom(args):
             raise error("planted")
 
-        monkeypatch.setitem(cli._HANDLERS, "check", boom)
+        monkeypatch.setattr(cli, "_handle_check", boom)  # the parser binds it per run
         code, out = run_argv(["check", "1,1"])
         assert code == EXIT_INTERNAL and "planted" in out
         code, obj = run_json(["check", "1,1"])
@@ -114,13 +110,54 @@ def test_usage_error_is_parse_error():
 
 
 def test_witness_flag_only_on_constructive_commands():
-    with pytest.raises(CliParseError):
-        CommandRequest("check", sequence_text="1,1", flags={"witness": True})
+    assert main(["check", "1,1", "--witness"]) == EXIT_PARSE
 
 
-def test_request_rejects_multiple_sources():
-    with pytest.raises(CliParseError):
-        CommandRequest("check", sequence_text="1,1", graph_path="x")
+_README_EXAMPLES = [
+    (["check", "3,3,1,1"], "graphic=false forest=false\n"),
+    (["bounds", "2,2,2,1,1,1,1,1,1"],
+     "slater=3 annihilation=6 n0=0 gamma_forest_low=3 gamma_forest_high=3\n"),
+    (["gamma-min", "2,2,2,1,1,1,1,1,1"], "gamma_min=3 k=3\n"),
+    (["omega-max", "2,2,2,2,2,2"], "omega_max=3\n"),
+    (["forest", "gamma-min", "3,2,2,2,1,1,1", "--witness", "--json"],
+     '{"achieving_k": 2, "bound_chain": {"annihilation": 4, "gamma_forest_high": 3, '
+     '"gamma_forest_low": 2, "n0": 0, "slater": 2}, "command": "forest gamma-min", '
+     '"parameter": "gamma_min_forest", "schema_version": 1, "sequence": {"canonical": '
+     '"3,2,2,2,1,1,1", "input_order": [0, 1, 2, 3, 4, 5, 6], "sorted": [3, 2, 2, 2, 1, 1, 1]}, '
+     '"value": 2, "witness": {"claims": ["head_dominating", "head_independent", "is_forest"], '
+     '"edges": [[1, 4], [1, 5], [1, 6], [2, 3], [2, 7], [3, 4]], "k": 2, '
+     '"sequence": [3, 2, 2, 2, 1, 1, 1]}}\n'),
+    (["forest", "alpha-max", "2,2,1,1"], "alpha_max_forest=2 k=2\n"),
+    (["realize", "hh", "3,1,1,1"], "n=4 edges=1-2,1-3,1-4\n"),
+    (["realize", "forest", "2,2,1,1"], "n=4 edges=1-2,1-3,2-4\n"),
+    (["realize", "indep-tail", "2,1,1,1,1", "--k", "2"],
+     "n=5 k=2 edges=1-4,1-5,2-3 claims=head_dominating,is_forest,tail_independent\n"),
+    (["realize", "indep-dom", "3,2,2,2,1,1,1", "--k", "2"],
+     "n=7 k=2 edges=1-4,1-5,1-6,2-3,2-7,3-4 claims=head_dominating,head_independent,is_forest\n"),
+    (["oracle", "2,2,1,1", "--forest"],
+     "count=2 gamma_min=2 gamma_max=2 alpha_min=2 alpha_max=2 omega_min=2 omega_max=2\n"),
+    (["slater-bound", "--graph", "graph.txt"],
+     "holds=true gamma=2 slater=2 cycle_excess=1 bound=6\n"),
+    (["bip-check", "--spec", '{"a":[1,1],"b":[1,1],"ap":[1,1],"bp":[1,1]}'],
+     "feasible=true edges=1-2,2-1\n"),
+    (["sweep", "--n-max", "6"],
+     "param=alpha_max checked=151 mismatches=0\nparam=gamma_min checked=151 mismatches=0\n"
+     "param=omega_max checked=151 mismatches=0\nok=true\n"),
+    (["sweep", "--n-max", "8", "--forest"],
+     "param=alpha_max_forest checked=47 mismatches=0\n"
+     "param=gamma_min_forest checked=47 mismatches=0\nok=true\n"),
+]
+
+
+@pytest.mark.parametrize("argv, stdout", _README_EXAMPLES,
+                         ids=[" ".join(argv) for argv, _ in _README_EXAMPLES])
+def test_readme_examples_print_their_golden_output(argv, stdout, tmp_path, monkeypatch, capsys):
+    # the README's command-line examples, byte for byte; graph.txt is a 5-cycle
+    (tmp_path / "graph.txt").write_text("5 5\n1 2\n2 3\n3 4\n4 5\n5 1\n")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("DEGSEQOPT_ORACLE_LIMIT", raising=False)
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out == stdout
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +284,23 @@ def test_closed_stdout_keeps_the_exit_code_and_prints_no_traceback():
 def test_sweep_respects_oracle_limit():
     code, _ = run_argv(["sweep", "--n-max", "12"])
     assert code == EXIT_PARSE
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--n-max", "0"], ["--n-max", "-2", "--forest"], ["--n-max", "1", "--forest"]],
+)
+def test_sweep_refuses_an_n_max_that_checks_nothing(argv, monkeypatch):
+    from degseqopt import cli
+
+    def enumerate_nothing(*args, **kwargs):
+        raise AssertionError("sweep enumerated sequences")
+
+    monkeypatch.setattr(cli, "iter_degree_sequences", enumerate_nothing)
+    code, out = run_argv(["sweep", *argv])
+    assert code == EXIT_PARSE and out.startswith(f"error: --n-max {argv[1]} is below ")
+    code, obj = run_json(["sweep", *argv])
+    assert code == EXIT_PARSE and obj["error"]["type"] == "CliParseError"
 
 
 def test_sweep_unknown_parameter():

@@ -1,4 +1,5 @@
 import random
+import warnings
 
 import pytest
 
@@ -168,6 +169,14 @@ def test_gamma_min_runtime_warning_for_large_degree_and_order():
     assert result.value == slater(normalize(seq)) == 18
 
 
+def test_gamma_min_delta_cap_above_every_entry_raises_no_warning():
+    # the slow-scan warning reads the largest entry, not a looser cap
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = gamma_min_bounded(normalize([2] * 40), delta_cap=9)
+    assert result.value == 14
+
+
 def test_gamma_min_witness_dominates():
     res = gamma_min_bounded(normalize([3, 2, 2, 2, 1, 1, 1]))
     assert res.witness is not None
@@ -189,9 +198,9 @@ def test_gamma_min_scan_returns_first_feasible_split():
         d = normalize(seq)
         res = gamma_min_bounded(d)
         pos = d.positive_part()
-        assert _split_feasible(pos, res.achieving_k, d.max_entry) is not None
+        assert _split_feasible(pos, res.achieving_k) is not None
         for k in range(slater(pos), res.achieving_k):
-            assert _split_feasible(pos, k, d.max_entry) is None
+            assert _split_feasible(pos, k) is None
 
 
 def test_profiles_with_sum_matches_eager_reference():
@@ -220,9 +229,9 @@ def test_gamma_min_bounded_near_uniform_delta5_n100():
         res = gamma_min_bounded(d)
     assert validate_witness(res.witness).ok
     pos = d.positive_part()
-    assert _split_feasible(pos, res.achieving_k, d.max_entry) is not None
+    assert _split_feasible(pos, res.achieving_k) is not None
     for k in range(slater(pos), res.achieving_k):
-        assert _split_feasible(pos, k, d.max_entry) is None
+        assert _split_feasible(pos, k) is None
 
 
 def test_gamma_min_bounded_on_3000_vertices_with_degrees_1_to_3():
