@@ -10,7 +10,8 @@ Each subparser binds its handler and the JSON ``command`` name with
 maps its exceptions to exit codes.  The oracle size limit of ``oracle``
 and ``sweep`` is ``--limit`` if given, else ``DEGSEQOPT_ORACLE_LIMIT``,
 else 8 (general) / 9 (forest), and never reaches past 14 vertices; a
-malformed ``DEGSEQOPT_ORACLE_LIMIT`` exits 1 with a message on stderr.
+malformed ``DEGSEQOPT_ORACLE_LIMIT``, or a limit below 1 from either
+source, exits 1 with a message on stderr.
 
 Exit codes: 0 success, 1 parse/usage errors, 2 domain precondition
 violations (non-graphic input, infeasible spec, ...), 3 internal errors:
@@ -448,9 +449,12 @@ def _default_oracle_limit() -> int | None:
     if raw is None:
         return None
     try:
-        return int(raw)
+        limit = int(raw)
     except ValueError as exc:
         raise CliParseError(f"bad {ORACLE_LIMIT_ENV}={raw!r}") from exc
+    if limit < 1:
+        raise CliParseError(f"bad {ORACLE_LIMIT_ENV}={raw!r}: the limit must be at least 1")
+    return limit
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -458,8 +462,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if "limit" in args and args.limit is None:
-            args.limit = _default_oracle_limit()
+        if "limit" in args:
+            if args.limit is None:
+                args.limit = _default_oracle_limit()
+            elif args.limit < 1:
+                raise CliParseError(f"argument --limit: must be at least 1, got {args.limit}")
     except CliParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

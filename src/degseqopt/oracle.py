@@ -1,10 +1,21 @@
 """Exhaustive ground truth over small degree sequences.
 
-Enumerates every positional realization of a sequence (every labeled
-graph on u_1..u_n with degree(u_i) = d_i exactly), optionally restricted
-to forests, and reports the exact extrema of the domination,
-independence, and clique numbers over that class.  This is the oracle the
-closed formulas and profile scans are validated against.
+Counts every positional realization of a sequence (every labeled graph
+on u_1..u_n with degree(u_i) = d_i exactly), optionally restricted to
+forests, and reports the exact extrema of the domination, independence,
+and clique numbers over that class.  This is the oracle the closed
+formulas and profile scans are validated against.
+
+The enumeration visits one representative per class of interchangeable
+vertices.  When vertex i picks its later neighbors, two candidates with
+the same degree and the same row so far can be swapped without changing
+any degree or any earlier row, so their subtrees hold isomorphic graphs.
+The search decides only how many members of each class to take and
+weights the subtree by the product of binomials C(|class|, k); the count
+is the sum of the leaf weights, and the extrema of the three
+(isomorphism-invariant) numbers are those of the representatives.
+``enumerate_realizations`` with a visitor still reaches every labeled
+graph, by giving each candidate a class of its own.
 
 The extrema are built along the enumeration tree, not solved per
 realization: once a vertex has chosen its later neighbors its row is
@@ -18,7 +29,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, product
+from math import comb, prod
 from typing import Callable, Iterator
 
 from .errors import TooLarge
@@ -73,14 +85,16 @@ def enumerate_realizations(
     visitor: Callable[[Graph], None] | None = None,
     limit: int | None = None,
 ) -> int:
-    """Visit every positional realization of ``d`` exactly once.
+    """Count the positional realizations of ``d``; visit each one once.
 
     Backtracks over vertices in the sorted (non-increasing) order,
     choosing each vertex's neighbors among the later vertices.  Branches
     are pruned by a graphicality test on the leftover degrees (forest
     test plus incremental acyclicity for the forest class).  Returns the
-    number of realizations visited; the visit order and count are
-    deterministic.
+    number of realizations; the visit order and count are deterministic.
+    Without a visitor the count is weighted over classes of
+    interchangeable vertices (see :func:`_enumerate_masks`); with one,
+    every labeled realization is built and visited.
     """
     visit = None
     if visitor is not None:
@@ -90,7 +104,25 @@ def enumerate_realizations(
             visitor(Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
                               if masks[u] >> v & 1]))
 
-    return _enumerate_masks(d, graph_class, limit, visit)
+    return _enumerate_masks(d, graph_class, limit, visit, labeled=visitor is not None)
+
+
+def _class_picks(sizes: tuple[int, ...], r: int) -> list[tuple[tuple[int, ...], int]]:
+    """Every way to take ``r`` members from classes of the given sizes.
+
+    The classes lie side by side in one list, in order.  Each way takes
+    the first k_c members of class c and is returned as (positions taken
+    in that list, prod C(sizes[c], k_c)), in descending lexicographic
+    order of (k_c), so singleton classes give the order of
+    ``combinations(range(len(sizes)), r)``.
+    """
+    starts = list(accumulate(sizes, initial=0))
+    return [
+        (tuple(p for c, k in enumerate(takes) for p in range(starts[c], starts[c] + k)),
+         prod(map(comb, sizes, takes)))
+        for takes in product(*(range(s, -1, -1) for s in sizes))
+        if sum(takes) == r
+    ]
 
 
 def _enumerate_masks(
@@ -100,12 +132,27 @@ def _enumerate_masks(
     visit: Callable[[list[int], object], None] | None = None,
     fold: Callable[[int, int, object], object] | None = None,
     state: object = None,
+    labeled: bool = False,
 ) -> int:
     """The enumeration behind :func:`enumerate_realizations`.
 
-    ``visit(masks, state)`` receives each realization as per-vertex
-    neighbor bitmasks (a live list: read it before returning).  When vertex
-    i's row is final (it has chosen its later neighbors),
+    When vertex i picks its later neighbors, the candidates j > i are
+    grouped into classes: j and j' share a class when d_j = d_j' and
+    their rows so far agree (``masks[j] == masks[j']``; those rows hold
+    only vertices below i).  Swapping j and j' keeps every degree and
+    rows 0..i-1, so it maps the completions after one choice one-to-one
+    onto the completions after the swapped choice, each to an isomorphic
+    graph (a forest exactly when the other is).  The loop therefore
+    takes, per class, only how many members to pick (always the first
+    ones), and weights the subtree by prod C(|class|, k); the returned
+    count sums the leaf weights.  Every extremum of an isomorphism
+    invariant is unchanged.  With ``labeled`` each candidate is its own
+    class (weight 1, the choices of ``combinations``), so every labeled
+    realization is reached.
+
+    ``visit(masks, state)`` receives each reached realization as
+    per-vertex neighbor bitmasks (a live list: read it before returning).
+    When vertex i's row is final (it has chosen its later neighbors),
     ``fold(i, masks[i], state)`` returns the state handed to depth i+1, so
     a caller can accumulate per-row data along the tree instead of
     recomputing it at each leaf.
@@ -121,11 +168,13 @@ def _enumerate_masks(
             return 0
 
     n = d.n
+    entries = d.entries
     forest = graph_class is GraphClass.FOREST
-    residual = list(d.entries)
+    residual = list(entries)
     masks = [0] * n
     parent = list(range(n))  # union-find, no path compression (rollback)
     feasible: dict[tuple[int, ...], bool] = {}  # suffix test, by leftover degrees
+    picks: dict[tuple[tuple[int, ...], int], list] = {}  # _class_picks, memoized
     count = 0
 
     def find(x: int) -> int:
@@ -145,21 +194,28 @@ def _enumerate_masks(
             feasible[rest] = ok
         return ok
 
-    def rec(i: int, state) -> None:
+    def rec(i: int, state, weight: int) -> None:
         nonlocal count
         if i == n:
-            count += 1
+            count += weight
             if visit is not None:
                 visit(masks, state)
             return
         r = residual[i]
         if r == 0:
-            rec(i + 1, state if fold is None else fold(i, masks[i], state))
+            rec(i + 1, state if fold is None else fold(i, masks[i], state), weight)
             return
-        candidates = [j for j in range(i + 1, n) if residual[j] > 0]
-        if r > len(candidates):
-            return
-        for chosen in combinations(candidates, r):
+        classes: dict[object, list[int]] = {}
+        for j in range(i + 1, n):
+            if residual[j] > 0:
+                classes.setdefault(j if labeled else (entries[j], masks[j]), []).append(j)
+        candidates = [j for members in classes.values() for j in members]
+        sizes = tuple(len(members) for members in classes.values())
+        ways = picks.get((sizes, r))
+        if ways is None:
+            ways = picks[sizes, r] = _class_picks(sizes, r)
+        for taken, w in ways:
+            chosen = [candidates[p] for p in taken]
             if forest:
                 roots = [find(x) for x in (i, *chosen)]
                 if len(set(roots)) <= r:  # an edge would close a cycle
@@ -174,7 +230,7 @@ def _enumerate_masks(
                 if forest:
                     for rj in roots[1:]:
                         parent[rj] = roots[0]
-                rec(i + 1, state if fold is None else fold(i, masks[i], state))
+                rec(i + 1, state if fold is None else fold(i, masks[i], state), weight * w)
                 for j in chosen:
                     masks[i] &= ~(1 << j)
                     masks[j] &= ~(1 << i)
@@ -185,7 +241,7 @@ def _enumerate_masks(
             for j in chosen:
                 residual[j] += 1
 
-    rec(0, state)
+    rec(0, state, 1)
     return count
 
 
@@ -205,9 +261,12 @@ def oracle_extrema(
     j.  Each realization then reads gamma off the smallest size class of
     ``dom``, and alpha and omega off the largest size class of the
     complements of ``nonind`` and ``noncl``; no solver runs per
-    realization.  The tables need n <= 14 (``solvers._TABLE_MAX``), so a
-    longer sequence raises ``TooLarge`` before any enumeration, whatever
-    ``limit`` says.
+    realization.  Only one realization per class of interchangeable
+    vertices is reached (see :func:`_enumerate_masks`): its three numbers
+    are those of every graph it stands for, and ``realization_count`` is
+    the weighted count, equal to the number of labeled realizations.  The
+    tables need n <= 14 (``solvers._TABLE_MAX``), so a longer sequence
+    raises ``TooLarge`` before any enumeration, whatever ``limit`` says.
     """
     n = d.n
     limit = _resolve_limit(graph_class, limit)

@@ -118,10 +118,6 @@ def _bits(mask: int):
         mask ^= lb
 
 
-def _popcount(x: int) -> int:
-    return bin(x).count("1")
-
-
 def _gamma_table(masks: tuple[int, ...], n: int) -> tuple[int, set[int]]:
     size, subset = _smallest_member(_dominating_bitmap(masks, n), n)
     return size, set(_bits(subset))
@@ -141,7 +137,7 @@ def _gamma_branch_bound(masks: tuple[int, ...], n: int) -> tuple[int, set[int]]:
     uncovered = full
     greedy: list[int] = []
     while uncovered:
-        v = max(range(n), key=lambda x: (_popcount(cn[x] & uncovered), -x))
+        v = max(range(n), key=lambda x: ((cn[x] & uncovered).bit_count(), -x))
         greedy.append(v)
         uncovered &= ~cn[v]
     best_size = len(greedy)
@@ -154,14 +150,14 @@ def _gamma_branch_bound(masks: tuple[int, ...], n: int) -> tuple[int, set[int]]:
                 best_size = len(chosen)
                 best_set = list(chosen)
             return
-        max_cover = max(_popcount(cn[v] & uncovered) for v in range(n))
-        lower = (_popcount(uncovered) + max_cover - 1) // max_cover
+        max_cover = max((cn[v] & uncovered).bit_count() for v in range(n))
+        lower = (uncovered.bit_count() + max_cover - 1) // max_cover
         if len(chosen) + lower >= best_size:
             return
         # branch on the hardest-to-cover uncovered vertex; its coverers
         # are exactly its closed neighborhood
-        u = min(_bits(uncovered), key=lambda x: _popcount(cn[x]))
-        cands = sorted(_bits(cn[u]), key=lambda v: (-_popcount(cn[v] & uncovered), v))
+        u = min(_bits(uncovered), key=lambda x: cn[x].bit_count())
+        cands = sorted(_bits(cn[u]), key=lambda v: (-(cn[v] & uncovered).bit_count(), v))
         for v in cands:
             chosen.append(v)
             rec(uncovered & ~cn[v], chosen)
@@ -197,7 +193,7 @@ def _alpha_branch_bound(masks: tuple[int, ...], n: int) -> tuple[int, set[int]]:
             return
         if len(current) + clique_cover_bound(pool) <= best_size:
             return
-        v = max(_bits(pool), key=lambda x: (_popcount(masks[x] & pool), -x))
+        v = max(_bits(pool), key=lambda x: ((masks[x] & pool).bit_count(), -x))
         current.append(v)
         rec(pool & ~cn[v], current)
         current.pop()

@@ -270,6 +270,24 @@ def test_oracle_beyond_the_subset_tables_exits_2_whatever_the_limit():
         assert proc.stdout == "error: n=15 exceeds the oracle's subset-table limit 14\n"
 
 
+@pytest.mark.parametrize("command", [["oracle", "1,1"], ["sweep", "--n-max", "3"]])
+@pytest.mark.parametrize("source", ["option", "env"])
+@pytest.mark.parametrize("value", ["0", "-5"])
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_oracle_limit_below_one_is_a_usage_error(command, source, value, json_flag,
+                                                 monkeypatch, capsys):
+    argv = command + json_flag
+    if source == "option":
+        monkeypatch.delenv("DEGSEQOPT_ORACLE_LIMIT", raising=False)
+        argv += ["--limit", value]
+    else:
+        monkeypatch.setenv("DEGSEQOPT_ORACLE_LIMIT", value)
+    assert main(argv) == EXIT_PARSE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and value in err
+
+
 def test_closed_stdout_keeps_the_exit_code_and_prints_no_traceback():
     for args, code in ((["sweep", "--n-max", "5"], EXIT_OK),
                        (["gamma-min", "3,3,1,1"], EXIT_PRECONDITION)):

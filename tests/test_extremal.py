@@ -458,3 +458,30 @@ def test_two_switch_walks_never_beat_the_forest_formulas():
             assert independence_number(g)[0] <= alpha.value
         visited += len(seen)
     assert visited > 400  # the walks move: 20 walks of 61 samples
+
+
+# ---------------------------------------------------------------------------
+# past the default oracle limits (8 general, 9 forest)
+
+
+def test_general_formulas_match_the_oracle_at_n10():
+    from degseqopt import degree_sequence, oracle_extrema
+
+    rng = random.Random(1981)
+    for _ in range(20):  # most answer in milliseconds, mid-density ones in seconds
+        d = degree_sequence(random_graph(rng, 10, rng.random()))
+        rep = oracle_extrema(d, limit=10)
+        assert gamma_min_bounded(d).value == rep.gamma_min, d.entries
+        assert alpha_max(d).value == rep.alpha_max, d.entries
+        assert omega_max(d).value == rep.omega_max, d.entries
+
+
+def test_forest_formulas_match_the_forest_oracle_at_n10_to_12():
+    from degseqopt import GraphClass, oracle_extrema
+
+    rng = random.Random(1981)
+    for _ in range(40):
+        d = normalize(random_tree(rng, rng.randint(10, 12)).degrees)  # a Pruefer tree
+        rep = oracle_extrema(d, GraphClass.FOREST, limit=12)
+        assert gamma_min_forest(d).value == rep.gamma_min, d.entries
+        assert alpha_max_forest(d).value == rep.alpha_max, d.entries

@@ -169,6 +169,12 @@ def test_regular_n8_oracle_extrema_match_the_reference(seq):
     _assert_matches_reference(seq, GraphClass.GENERAL)
 
 
+@pytest.mark.parametrize("r, count", [(3, 11_180_820), (4, 66_462_606)])
+def test_regular_n10_counts_match_the_published_values(r, count):
+    # labeled r-regular graphs on 10 vertices: OEIS A002829 (r = 3), A005815 (r = 4)
+    assert oracle_extrema(normalize([r] * 10), limit=10).realization_count == count
+
+
 def test_oracle_extrema_rejects_sequences_beyond_the_subset_tables():
     d = normalize([1, 1] + [0] * 13)
     with pytest.raises(TooLarge, match="subset-table limit 14"):
