@@ -10,8 +10,9 @@ Each subparser binds its handler and the JSON ``command`` name with
 maps its exceptions to exit codes.  The oracle size limit of ``oracle``
 and ``sweep`` is ``--limit`` if given, else ``DEGSEQOPT_ORACLE_LIMIT``,
 else 8 (general) / 9 (forest), and never reaches past 14 vertices; a
-malformed ``DEGSEQOPT_ORACLE_LIMIT``, or a limit below 1 from either
-source, exits 1 with a message on stderr.
+malformed ``DEGSEQOPT_ORACLE_LIMIT``, a limit below 1 from either
+source, or a negative ``--delta-cap`` exits 1 with a message on stderr.
+A name repeated in ``sweep --params`` is checked and reported once.
 
 Exit codes: 0 success, 1 parse/usage errors, 2 domain precondition
 violations (non-graphic input, infeasible spec, ...), 3 internal errors:
@@ -285,7 +286,8 @@ def _handle_sweep(args: argparse.Namespace):
         raise CliParseError(f"--n-max {n_max} is below {first}: no {graph_class.value} "
                             "sequence would be checked")
     checks = _SWEEP_CHECKS[graph_class]
-    params = [p.strip() for p in (args.params or "").split(",") if p.strip()] or sorted(checks)
+    named = dict.fromkeys(p.strip() for p in (args.params or "").split(","))
+    params = [p for p in named if p] or sorted(checks)
     unknown = [p for p in params if p not in checks]
     if unknown:
         raise CliParseError(f"unknown parameters for {graph_class.value} sweep: {unknown}")
@@ -467,6 +469,10 @@ def main(argv: list[str] | None = None) -> int:
                 args.limit = _default_oracle_limit()
             elif args.limit < 1:
                 raise CliParseError(f"argument --limit: must be at least 1, got {args.limit}")
+        if getattr(args, "delta_cap", None) is not None and args.delta_cap < 0:
+            raise CliParseError(
+                f"argument --delta-cap: must be at least 0, got {args.delta_cap}"
+            )
     except CliParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

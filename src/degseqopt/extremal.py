@@ -309,21 +309,11 @@ def _split_feasible(pos: DegreeSequence, k: int):
     return None
 
 
-def _positional_edges(residuals: list[int], offset: int) -> list[tuple[int, int]]:
-    """Havel-Hakimi edges realizing possibly-unsorted residual degrees."""
-    order = sorted(range(len(residuals)), key=lambda i: (-residuals[i], i))
-    sorted_deg = tuple(residuals[i] for i in order)
-    return [(offset + order[a], offset + order[b]) for a, b in _hh_edges(sorted_deg)]
-
-
 def _assemble_split_witness(pos, k, head_profile, tail_profile) -> RealizationWitness:
     p = pos.n
-    edges = _positional_edges(
-        [pos.entries[i] - head_profile[i] for i in range(k)], 0
-    )
-    edges += _positional_edges(
-        [pos.entries[k + j] - tail_profile[j] for j in range(p - k)], k
-    )
+    edges = _hh_edges([pos.entries[i] - head_profile[i] for i in range(k)])
+    tail = _hh_edges([pos.entries[k + j] - tail_profile[j] for j in range(p - k)])
+    edges += [(k + a, k + b) for a, b in tail]
     edges += [(i, k + j) for i, j in _greedy_edges(head_profile, tail_profile)]
     claims = {WitnessClaim.HEAD_DOMINATING, WitnessClaim.TAIL_DOMINATING}
     return RealizationWitness.checked(Graph(p, sorted(edges)), pos, k, claims)
@@ -385,9 +375,10 @@ def gamma_min_forest(d: DegreeSequence) -> ExtremalResult:
     """Smallest domination number among all forest realizations of ``d``.
 
     On the positive part the value is min(k1, k2) where k1 is the first
-    split whose head degree sum reaches the tail degree sum and k2 the
-    first split admitting an independent dominating head; each isolated
-    vertex then adds one.
+    split whose head degree sum reaches the tail degree sum (p minus the
+    annihilation number, as the total is positive) and k2 the first split
+    admitting an independent dominating head; each isolated vertex then
+    adds one.
     """
     if not is_forest_sequence(d):
         raise NotForestSequence(f"{d.entries} is not a forest sequence")
@@ -396,7 +387,7 @@ def gamma_min_forest(d: DegreeSequence) -> ExtremalResult:
     if pos is None:
         return ExtremalResult(ExtremalParameter.GAMMA_MIN_FOREST, d.n, chain)
     p = pos.n
-    k1 = next(k for k in range(1, p + 1) if pos.prefix(k) >= pos.suffix(k))
+    k1 = p - annihilation(pos)
     k2 = None
     for k in range(1, p + 1):
         if pos.prefix(k) < p - k:

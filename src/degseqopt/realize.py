@@ -1,8 +1,10 @@
 """Constructive realization algorithms.
 
-Besides the classical Havel-Hakimi graph construction and a generic
-forest construction, this module builds the two structured forest
-realizations the extremal formulas rest on:
+Besides the classical Havel-Hakimi graph construction (one heap of
+integer keys, degrees in any order, O(sum(d) * log n); every general
+realization the package prints comes from it) and a generic forest
+construction, this module builds the two structured forest realizations
+the extremal formulas rest on:
 
 * a forest whose tail vertices {u_{k+1}, ..., u_n} form an independent
   set (exists iff the head degree sum is at least the tail degree sum);
@@ -20,6 +22,8 @@ construction.
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
+
 from .errors import NotForestSequence, NotGraphic, PreconditionViolated
 from .graphs import Graph, RealizationWitness, WitnessClaim
 from .sequences import DegreeSequence, is_forest_sequence, is_graphic
@@ -32,41 +36,34 @@ __all__ = [
 ]
 
 
-def _hh_edges(degrees: tuple[int, ...]) -> list[tuple[int, int]]:
-    """Havel-Hakimi edges realizing ``degrees`` positionally.
+def _hh_edges(degrees) -> list[tuple[int, int]]:
+    """Havel-Hakimi edges realizing graphic ``degrees`` positionally.
 
-    Assumes the (non-increasing) sequence is graphic.  The vertex of
-    highest residual degree is wired to the next-highest residuals,
-    ties broken by position.  Vertices sit in buckets of ascending
-    positions per residual degree, so (-residual, position) order is the
-    buckets read from the top down: each step takes prefixes of the top
-    buckets, then merges each taken run into the bucket one lower.
+    ``degrees`` may come in any order.  The vertex of highest residual
+    degree is wired to the next-highest residuals, ties broken by the
+    vertex's rank in one stable sort by -degree (its position, when
+    ``degrees`` is non-increasing).  One heap holds the key
+    (n - residual) * n + rank of each vertex with residual left, so a step
+    pops the top vertex and its partners in order and pushes each partner
+    back one residual lower (key + n): O(sum(d) * log n) in all.
     """
-    buckets: list[list[int]] = [[] for _ in range(max(degrees, default=0) + 1)]
-    for i, d in enumerate(degrees):
-        buckets[d].append(i)
+    n = len(degrees)
+    order = sorted(range(n), key=lambda i: -degrees[i])
+    heap = [(n - degrees[v]) * n + rank for rank, v in enumerate(order) if degrees[v]]
+    last = n * n - n  # keys from here on have residual 1, the last one
     edges: list[tuple[int, int]] = []
-    top = len(buckets) - 1
-    while True:
-        while top and not buckets[top]:
-            top -= 1
-        if not top:
-            return edges
-        v = buckets[top].pop(0)
-        taken = []
-        need, level = top, top
-        while need:
-            if not level:
-                raise AssertionError("non-graphic sequence reached construction")
-            run = buckets[level][:need]
-            del buckets[level][:need]
-            taken.append((level, run))
-            need -= len(run)
-            level -= 1
-        for level, run in taken:
-            edges.extend((v, w) for w in run)
-            if level > 1:  # two ascending runs: sorted() merges them in one pass
-                buckets[level - 1] = sorted(buckets[level - 1] + run)
+    while heap:  # ascending from the sort, so already a heap
+        key = heappop(heap)
+        residual = n - key // n
+        if len(heap) < residual:
+            raise AssertionError("non-graphic sequence reached construction")
+        taken = [heappop(heap) for _ in range(residual)]
+        v = order[key % n]
+        edges += [(v, order[t % n]) for t in taken]
+        for t in taken:
+            if t < last:
+                heappush(heap, t + n)
+    return edges
 
 
 def havel_hakimi_realize(d: DegreeSequence) -> Graph:

@@ -326,6 +326,31 @@ def test_sweep_unknown_parameter():
     assert code == EXIT_PARSE
 
 
+def test_sweep_checks_a_repeated_parameter_once():
+    single = run_argv(["sweep", "--n-max", "4", "--params", "gamma_min"])
+    assert single == (EXIT_OK, "param=gamma_min checked=18 mismatches=0\nok=true")
+    assert run_argv(["sweep", "--n-max", "4", "--params", "gamma_min,gamma_min"]) == single
+    code, obj = run_json(["sweep", "--n-max", "4", "--params", "gamma_min,omega_max,gamma_min"])
+    assert code == EXIT_OK
+    assert [(r["parameter"], r["checked"]) for r in obj["results"]] == [
+        ("gamma_min", 18), ("omega_max", 18)
+    ]
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_negative_delta_cap_is_a_usage_error(json_flag, capsys):
+    assert main(["gamma-min", "2,2,1,1", "--delta-cap", "-1", *json_flag]) == EXIT_PARSE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: argument --delta-cap: must be at least 0, got -1\n"
+
+
+def test_delta_cap_zero_is_still_a_cap():
+    assert run_argv(["gamma-min", "0,0", "--delta-cap", "0"]) == (EXIT_OK, "gamma_min=2")
+    code, out = run_argv(["gamma-min", "2,2,1,1", "--delta-cap", "0"])
+    assert (code, out) == (EXIT_PRECONDITION, "error: maximum entry 2 exceeds delta cap 0")
+
+
 def test_sweep_small_grid_matches():
     code, obj = run_json(["sweep", "--n-max", "5"])
     assert code == EXIT_OK

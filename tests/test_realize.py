@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -65,7 +66,7 @@ def test_havel_hakimi_realizes_positionally_for_all_small_graphic_sequences():
             assert degree_sequence(g).entries == d.entries
 
 
-def test_havel_hakimi_buckets_match_the_resorting_reference():
+def test_havel_hakimi_heap_matches_the_resorting_reference():
     from conftest import hh_edges_reference
 
     from degseqopt.realize import _hh_edges
@@ -81,6 +82,25 @@ def test_havel_hakimi_buckets_match_the_resorting_reference():
             graphic.append(d)
     for d in graphic:
         assert _hh_edges(d.entries) == hh_edges_reference(d.entries), d.entries
+        # any input order: ties go by the stable (-degree, position) rank,
+        # so the edges are the reference's on that order, mapped back
+        u = list(d.entries)
+        rng.shuffle(u)
+        order = sorted(range(len(u)), key=lambda i: (-u[i], i))
+        expected = [(order[a], order[b]) for a, b in hh_edges_reference([u[i] for i in order])]
+        assert _hh_edges(u) == expected, u
+
+
+def test_havel_hakimi_realizes_a_hundred_thousand_vertices_quickly():
+    rng = random.Random(20150716)
+    entries = [rng.randint(1, 5) for _ in range(99_999)]
+    entries.append(2 - sum(entries) % 2)  # an even sum
+    d = normalize(entries)
+    start = time.perf_counter()
+    g = havel_hakimi_realize(d)
+    elapsed = time.perf_counter() - start
+    assert g.degrees == d.entries
+    assert elapsed < 10, f"{elapsed:.1f} s"
 
 
 # ---------------------------------------------------------------------------
