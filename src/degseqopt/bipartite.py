@@ -12,7 +12,9 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
+from operator import gt
 
 from .errors import Infeasible, InvalidSequence
 from .graphs import Graph
@@ -59,27 +61,33 @@ class BipartiteDegreeSpec:
     def n(self) -> int:
         return len(self.lower_right)
 
+    @cached_property
+    def _exact(self):
+        # computed once per spec: feasibility and construction both need it
+        return _exact_degrees(self)
+
 
 def _sort_side(lower, upper, side):
-    lower = [int(x) for x in lower]
-    upper = [int(x) for x in upper]
+    """One side's bounds sorted by lower bound descending, ties in input order."""
+    lower = list(map(int, lower))
+    upper = list(map(int, upper))
     if len(lower) != len(upper):
         raise InvalidSequence(f"{side} lower/upper lengths differ")
-    if any(x < 0 for x in lower) or any(x < 0 for x in upper):
+    if min(lower, default=0) < 0 or min(upper, default=0) < 0:
         raise InvalidSequence(f"{side} bounds must be non-negative")
-    if any(a > b for a, b in zip(lower, upper)):
+    if any(map(gt, lower, upper)):
         raise InvalidSequence(f"{side} has a lower bound above its upper bound")
-    order = sorted(range(len(lower)), key=lambda i: (-lower[i], i))
+    order = sorted(range(len(lower)), key=lower.__getitem__, reverse=True)  # stable
     return (
-        tuple(lower[i] for i in order),
-        tuple(upper[i] for i in order),
+        tuple(map(lower.__getitem__, order)),
+        tuple(map(upper.__getitem__, order)),
         tuple(order),
     )
 
 
 def gale_ryser_feasible(spec: BipartiteDegreeSpec) -> bool:
     """True iff some bipartite graph meets all four bound families."""
-    return _exact_degrees(spec) is not None
+    return spec._exact is not None
 
 
 def build_bounded_bipartite(spec: BipartiteDegreeSpec) -> Graph:
@@ -87,10 +95,10 @@ def build_bounded_bipartite(spec: BipartiteDegreeSpec) -> Graph:
 
     Vertices 0..m-1 are the left class (in the spec's sorted order),
     m..m+n-1 the right class.  The exact degrees come from
-    ``_exact_degrees`` and Ryser's greedy realizes them.  Raises
-    Infeasible on an infeasible spec.
+    ``_exact_degrees``, computed once per spec, and Ryser's greedy realizes
+    them.  Raises Infeasible on an infeasible spec.
     """
-    degrees = _exact_degrees(spec)
+    degrees = spec._exact
     if degrees is None:
         raise Infeasible("degree-bound spec admits no bipartite graph")
     m = spec.m
@@ -115,7 +123,7 @@ def _exact_degrees(spec: BipartiteDegreeSpec):
     right = _water_fill(spec.lower_right, [min(b, m) for b in spec.upper_right], total)
     if left is None or right is None or _overflow(sorted(left, reverse=True), right):
         return None
-    return left, right
+    return tuple(left), tuple(right)
 
 
 def _water_fill(lower, upper, total):

@@ -1,9 +1,11 @@
 """Command-line front end.
 
-Every subcommand takes a degree sequence (comma- or whitespace-separated)
-or a graph/spec file, prints a one-line human-readable report by default,
-and mirrors it as versioned JSON under ``--json``.  Output is
-deterministic byte-for-byte for a fixed input and flag set.
+Every subcommand takes a degree sequence (comma- or whitespace-separated;
+``-`` reads it from standard input, for sequences too long for one
+command-line argument) or a graph/spec file, prints a one-line
+human-readable report by default, and mirrors it as versioned JSON under
+``--json``.  Output is deterministic byte-for-byte for a fixed input and
+flag set.  An empty or missing standard input exits 1.
 
 Each subparser binds its handler and the JSON ``command`` name with
 ``set_defaults``; ``run`` calls the handler on the parsed arguments and
@@ -114,12 +116,23 @@ def _bool(x: bool) -> str:
     return "true" if x else "false"
 
 
+def _read_sequence(text: str) -> DegreeSequence:
+    """Parse the ``sequence`` argument; ``-`` reads the sequence from stdin."""
+    if text == "-":
+        if sys.stdin is None:
+            raise CliParseError("no standard input to read the sequence from")
+        text = sys.stdin.read()
+        if not text.strip():
+            raise CliParseError("empty sequence on standard input")
+    return parse_sequence_text(text)
+
+
 # --------------------------------------------------------------------------
 # handlers: parsed arguments -> (payload, text, exit_code)
 
 
 def _handle_check(args: argparse.Namespace):
-    d = parse_sequence_text(args.sequence)
+    d = _read_sequence(args.sequence)
     graphic = is_graphic(d)
     forest = is_forest_sequence(d)
     payload = {"graphic": graphic, "forest": forest, "sequence": _sequence_obj(d)}
@@ -127,7 +140,7 @@ def _handle_check(args: argparse.Namespace):
 
 
 def _handle_bounds(args: argparse.Namespace):
-    d = parse_sequence_text(args.sequence)
+    d = _read_sequence(args.sequence)
     chain = extremal.bound_chain(d)
     payload = dict(_chain_obj(chain))
     payload["sequence"] = _sequence_obj(d)
@@ -140,7 +153,7 @@ def _handle_bounds(args: argparse.Namespace):
 
 def _extremal_handler(func):
     def handle(args: argparse.Namespace):
-        d = parse_sequence_text(args.sequence)
+        d = _read_sequence(args.sequence)
         res = func(d, delta_cap=args.delta_cap) if "delta_cap" in args else func(d)
         payload = _result_payload(d, res, getattr(args, "witness", False))
         text = f"{res.parameter.value}={res.value}"
@@ -154,7 +167,7 @@ def _extremal_handler(func):
 
 
 def _handle_realize(args: argparse.Namespace):
-    d = parse_sequence_text(args.sequence)
+    d = _read_sequence(args.sequence)
     variant = args.realize_command
     if variant in ("indep-tail", "indep-dom"):
         builder = (
@@ -180,7 +193,7 @@ def _handle_realize(args: argparse.Namespace):
 
 
 def _handle_oracle(args: argparse.Namespace):
-    d = parse_sequence_text(args.sequence)
+    d = _read_sequence(args.sequence)
     graph_class = GraphClass.FOREST if args.forest else GraphClass.GENERAL
     rep = oracle_extrema(d, graph_class, limit=args.limit)
     payload = {
@@ -369,7 +382,8 @@ def _build_parser() -> _Parser:
         p.set_defaults(command=command, handler=handler)
 
     def add_seq(p):
-        p.add_argument("sequence", help="degree sequence, e.g. 3,2,2,1 or '3 2 2 1'")
+        p.add_argument("sequence",
+                       help="degree sequence, e.g. 3,2,2,1 or '3 2 2 1'; - reads it from stdin")
 
     p = sub.add_parser("check", help="graphicality and forest realizability")
     add_seq(p), add_json(p, "check", _handle_check)

@@ -25,9 +25,10 @@ from __future__ import annotations
 
 import enum
 import warnings
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, repeat
 
 from .bipartite import _greedy_edges, _overflow
 from .errors import NotConnected, NotForestSequence, NotGraphic, PreconditionViolated
@@ -233,17 +234,17 @@ def _profiles_with_sum(caps: list[int], total: int):
     Yields them in lexicographically descending order.  Entry i is at most
     pm[i], the prefix minimum of ``caps``; a value v for it is tried only
     while the positions after it can still take the rest of the sum: at
-    least one each, and at most room[i + 1][v], the sum of min(v, pm[j])
+    least one each, and at most room[v][i + 1], the sum of min(v, pm[j])
     over j > i.  Every branch entered therefore yields a profile.
     """
     n = len(caps)
     pm = list(accumulate(caps, min))
     top = pm[0] if n else 0
-    room = [[0] * (top + 1)]
-    for i in range(n - 1, -1, -1):
-        room.append([r + min(v, pm[i]) for v, r in enumerate(room[-1])])
-    room.reverse()
-    if not n <= total <= room[0][top]:
+    room = []  # room[v]: suffix sums of min(v, pm[j]), one list per value
+    for v in range(top + 1):
+        room.append(list(accumulate(map(min, repeat(v), reversed(pm)), initial=0)))
+        room[v].reverse()
+    if not n <= total <= room[top][0]:
         return
     if not n:
         yield ()
@@ -252,7 +253,7 @@ def _profiles_with_sum(caps: list[int], total: int):
     rest, v = total, min(top, total - n + 1)
     while True:
         i = len(seq)
-        if v >= 1 and v + room[i + 1][v] >= rest:
+        if v >= 1 and v + room[v][i + 1] >= rest:
             if i + 1 == n:
                 yield (*seq, v)
                 v -= 1
@@ -378,7 +379,8 @@ def gamma_min_forest(d: DegreeSequence) -> ExtremalResult:
     split whose head degree sum reaches the tail degree sum (p minus the
     annihilation number, as the total is positive) and k2 the first split
     admitting an independent dominating head; each isolated vertex then
-    adds one.
+    adds one.  Both come from bisections over the prefix sums, so the
+    value costs O(log n) after the sort; the witness is linear.
     """
     if not is_forest_sequence(d):
         raise NotForestSequence(f"{d.entries} is not a forest sequence")
@@ -388,15 +390,14 @@ def gamma_min_forest(d: DegreeSequence) -> ExtremalResult:
         return ExtremalResult(ExtremalParameter.GAMMA_MIN_FOREST, d.n, chain)
     p = pos.n
     k1 = p - annihilation(pos)
-    k2 = None
-    for k in range(1, p + 1):
-        if pos.prefix(k) < p - k:
-            continue
-        surplus = pos.suffix(k) - pos.prefix(k)
-        if 0 <= surplus <= max(0, 2 * (pos.count_ge(2) - k) - 2):
-            k2 = k
-            break
-    if k2 is not None and k2 < k1:
+    # k2 matters only below k1, where the surplus total - 2 * prefix(k) is
+    # positive; there the cap test reads prefix(k) - k >= total/2 - c + 1
+    # (c entries >= 2, total even), and prefix(k) - k never decreases as
+    # the entries are positive.  Below slater(pos) the head cannot dominate.
+    low = slater(pos)
+    need = pos.total // 2 - pos.count_ge(2) + 1
+    k2 = low + bisect_left(range(low, k1), need, key=lambda k: pos.prefix(k) - k)
+    if k2 < k1:
         witness = independent_dominating_head_forest(pos, k2)
         best = k2
     else:

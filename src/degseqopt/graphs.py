@@ -4,7 +4,12 @@ Vertices are 0-based internally (``u_1`` in reports corresponds to vertex 0).
 Graphs are immutable after construction; every mutation-like operation
 returns a new graph.  Adjacency is one frozenset of neighbors per vertex,
 so memory grows with the edge count; the exact solvers derive their own
-bitmasks from it.
+bitmasks from it.  Construction range-checks each edge while it fills
+neighbour lists, then freezes them with C-level ``map`` calls; a self-loop
+or a repeated edge shows as a set shorter than its list, and only then
+are the edges rescanned so the error names the first bad one.  Witness
+claims are re-checked with one ``min`` or ``max`` per adjacency set, as
+the head and the tail are vertex ranges.
 """
 
 from __future__ import annotations
@@ -44,18 +49,18 @@ class Graph:
         if n < 0:
             raise ValueError("vertex count must be non-negative")
         self.n = n
-        sets: list[set[int]] = [set() for _ in range(n)]
+        edges = list(edges)
+        lists: list[list[int]] = [[] for _ in range(n)]
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if v in sets[u]:
-                raise ValueError(f"duplicate edge ({u}, {v})")
-            sets[u].add(v)
-            sets[v].add(u)
-        self.adjacency_sets = tuple(frozenset(s) for s in sets)
-        self.degrees = tuple(len(s) for s in sets)
+                raise _first_bad_edge(n, edges)
+            lists[u].append(v)
+            lists[v].append(u)
+        self.adjacency_sets = tuple(map(frozenset, lists))
+        self.degrees = tuple(map(len, lists))
+        # a self-loop or a repeated edge lists a neighbour twice
+        if self.degrees != tuple(map(len, self.adjacency_sets)):
+            raise _first_bad_edge(n, edges)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return tuple(sorted(self.adjacency_sets[v]))
@@ -121,6 +126,20 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.edges()})"
+
+
+def _first_bad_edge(n: int, edges: list[tuple[int, int]]) -> ValueError:
+    """The error for the first edge that is out of range, a loop or a repeat."""
+    seen: set[tuple[int, int]] = set()
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            return ValueError(f"edge ({u}, {v}) out of range for n={n}")
+        if u == v:
+            return ValueError(f"self-loop at vertex {u}")
+        if (min(u, v), max(u, v)) in seen:
+            return ValueError(f"duplicate edge ({u}, {v})")
+        seen.add((min(u, v), max(u, v)))
+    raise AssertionError("no bad edge in an edge list that was rejected")
 
 
 def degree_sequence(g: Graph) -> DegreeSequence:
@@ -204,12 +223,27 @@ class RealizationWitness:
         return w
 
 
-def _dominates(g: Graph, inside: range, outside: range) -> bool:
-    return all(any(w in inside for w in g.adjacency_sets[v]) for v in outside)
+# The head is range(0, k) and the tail range(k, n), so a vertex has a head
+# neighbour iff its least neighbour is below k, and a tail neighbour iff its
+# greatest one is at least k: one C-level min or max per adjacency set.
 
 
-def _independent(g: Graph, vertices: range) -> bool:
-    return not any(w in vertices for v in vertices for w in g.adjacency_sets[v])
+def _head_dominates(g: Graph, k: int) -> bool:
+    tail = g.adjacency_sets[k:]
+    return all(tail) and max(map(min, tail), default=-1) < k
+
+
+def _tail_dominates(g: Graph, k: int) -> bool:
+    head = g.adjacency_sets[:k]
+    return all(head) and min(map(max, head), default=k) >= k
+
+
+def _head_independent(g: Graph, k: int) -> bool:
+    return min(map(min, filter(None, g.adjacency_sets[:k])), default=k) >= k
+
+
+def _tail_independent(g: Graph, k: int) -> bool:
+    return max(map(max, filter(None, g.adjacency_sets[k:])), default=-1) < k
 
 
 def validate_witness(w: RealizationWitness) -> WitnessReport:
@@ -217,16 +251,14 @@ def validate_witness(w: RealizationWitness) -> WitnessReport:
     g = w.graph
     k = w.split_k
     degrees_match = g.degrees == w.sequence.entries and 0 <= k <= g.n
-    head = range(0, k)
-    tail = range(k, g.n)
     checks = {
-        WitnessClaim.HEAD_DOMINATING: lambda: _dominates(g, head, tail),
-        WitnessClaim.TAIL_DOMINATING: lambda: _dominates(g, tail, head),
-        WitnessClaim.HEAD_INDEPENDENT: lambda: _independent(g, head),
-        WitnessClaim.TAIL_INDEPENDENT: lambda: _independent(g, tail),
-        WitnessClaim.IS_FOREST: lambda: g.is_forest(),
+        WitnessClaim.HEAD_DOMINATING: _head_dominates,
+        WitnessClaim.TAIL_DOMINATING: _tail_dominates,
+        WitnessClaim.HEAD_INDEPENDENT: _head_independent,
+        WitnessClaim.TAIL_INDEPENDENT: _tail_independent,
+        WitnessClaim.IS_FOREST: lambda g, k: g.is_forest(),
     }
-    results = {claim: checks[claim]() for claim in sorted(w.claims, key=lambda c: c.value)}
+    results = {claim: checks[claim](g, k) for claim in sorted(w.claims, key=lambda c: c.value)}
     ok = degrees_match and all(results.values())
     return WitnessReport(degrees_match=degrees_match, claim_results=results, ok=ok)
 

@@ -15,9 +15,11 @@ the extremal formulas rest on:
 Both are built from the degrees alone by one leaf peel that never joins
 two tail vertices: the first peels the sequence itself, the second peels
 the head against the components of a small forest inside the tail and
-hands each component's edges to its members.  All constructions are
-deterministic and return witnesses that re-check their own claims on
-construction.
+hands each component's edges to its members.  Those components are read
+off the peel that built the tail forest (``_peel_components``), with no
+graph built for them.  All constructions are deterministic and return
+witnesses that re-check their own claims on construction; the checks are
+C-level passes over the adjacency sets (see ``graphs``).
 """
 
 from __future__ import annotations
@@ -114,6 +116,27 @@ def _independent_tail_edges(degrees, k: int) -> list[tuple[int, int]]:
             partner = small.pop()
         edges.append((partner, leaf) if leaf >= k else (leaf, partner))
     return edges
+
+
+def _peel_components(edges, size: int) -> list[list[int]]:
+    """Components of the forest a leaf peel with an empty tail built on 0..size-1.
+
+    ``edges`` come from ``_independent_tail_edges(f, len(f))`` with
+    len(f) <= size; vertices from len(f) on are isolated.  Each edge joins
+    a leaf, listed first, to a vertex still being peeled, whose own edge
+    to its parent comes later (or never, at the last vertex of a
+    component).  Walking the edges backwards therefore hands every leaf its
+    parent's final root.  Grouping the vertices by root in order of first
+    appearance gives what ``Graph.connected_components`` would: components
+    ordered by their smallest member, members ascending.
+    """
+    root = list(range(size))
+    for leaf, parent in reversed(edges):
+        root[leaf] = root[parent]
+    components: dict[int, list[int]] = {}
+    for j, r in enumerate(root):
+        components.setdefault(r, []).append(j)
+    return list(components.values())
 
 
 def _require_positive_forest(d: DegreeSequence) -> None:
@@ -228,7 +251,7 @@ def independent_dominating_head_forest(d: DegreeSequence, k: int) -> Realization
     # one slot per head edge a component's members need
     slots = [
         [k + j for j in members for _ in range(tail[j] - f[j])]
-        for members in Graph(n - k, internal).connected_components()
+        for members in _peel_components(internal, n - k)
     ]
     cross = _independent_tail_edges([*d.entries[:k], *map(len, slots)], k)
     edges = [(k + a, k + b) for a, b in internal]

@@ -1,21 +1,26 @@
 """Degree-sequence data model, graphicality tests, and sequence-level bounds.
 
 A degree sequence is stored sorted non-increasing together with the
-permutation back to the caller's order.  On top of the data model this
+permutation back to the caller's order.  Normalizing is one stable C-level
+sort, and validation re-checks the order with one pairwise ``map`` over the
+entries, so reading a sequence costs about as much as the sort.  On top of
+the data model this
 module provides the two classical realizability predicates (simple graph,
 forest) and the two sequence-level bounds used throughout the package:
 the Slater number (a lower bound on the domination number of every
 realization) and the annihilation number (an upper bound on the
-independence number of every realization).
+independence number of every realization).  Both are found by bisection
+over the cached prefix sums, in O(log n) once those exist.
 """
 
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from operator import neg
+from itertools import accumulate, islice
+from operator import ge, neg
 from typing import Iterable, Sequence
 
 from .errors import InvalidSequence
@@ -45,13 +50,14 @@ class DegreeSequence:
     original_order: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not self.entries:
+        entries = self.entries
+        if not entries:
             raise InvalidSequence("degree sequence must be non-empty")
-        if any(self.entries[i] < self.entries[i + 1] for i in range(len(self.entries) - 1)):
+        if not all(map(ge, entries, islice(entries, 1, None))):
             raise InvalidSequence("entries must be non-increasing")
-        if self.entries[-1] < 0:
+        if entries[-1] < 0:
             raise InvalidSequence("entries must be non-negative")
-        if sorted(self.original_order) != list(range(len(self.entries))):
+        if sorted(self.original_order) != list(range(len(entries))):
             raise InvalidSequence("original_order must be a permutation")
 
     @property
@@ -65,10 +71,7 @@ class DegreeSequence:
     @cached_property
     def _prefix(self) -> tuple[int, ...]:
         # _prefix[k] = sum of the k largest entries; _prefix[0] = 0
-        acc = [0]
-        for x in self.entries:
-            acc.append(acc[-1] + x)
-        return tuple(acc)
+        return tuple(accumulate(self.entries, initial=0))
 
     def prefix(self, k: int) -> int:
         """Sum of the ``k`` largest entries."""
@@ -128,16 +131,18 @@ def normalize(raw: Iterable[int]) -> DegreeSequence:
 
     Entries only need to be non-negative integers here; upper-bound checks
     (entry <= n-1) belong to graphicality, not to normalization.  Idempotent
-    on already-sorted input.
+    on already-sorted input.  Equal entries keep their input order: a
+    reverse sort is stable in Python, so the order is the ascending sort by
+    (-value, position).
     """
-    values = [int(x) for x in raw]
+    values = list(map(int, raw))
     if not values:
         raise InvalidSequence("degree sequence must be non-empty")
-    if any(x < 0 for x in values):
+    if min(values) < 0:
         raise InvalidSequence(f"negative entry in {values}")
-    order = sorted(range(len(values)), key=lambda i: (-values[i], i))
+    order = sorted(range(len(values)), key=values.__getitem__, reverse=True)
     return DegreeSequence(
-        entries=tuple(values[i] for i in order),
+        entries=tuple(map(values.__getitem__, order)),
         original_order=tuple(order),
     )
 
@@ -148,7 +153,7 @@ def parse_sequence_text(text: str) -> DegreeSequence:
     if not parts:
         raise InvalidSequence("empty sequence text")
     try:
-        values = [int(p) for p in parts]
+        values = list(map(int, parts))
     except ValueError as exc:
         raise InvalidSequence(f"not an integer sequence: {text!r}") from exc
     return normalize(values)
@@ -210,26 +215,31 @@ def slater(d: DegreeSequence) -> int:
     """Smallest k such that the k largest degrees sum to at least n - k.
 
     Lower bound on the domination number of every realization of ``d``.
-    Always in 1..n since k = n makes the right side non-positive.
+    Always in 1..n since k = n makes the right side non-positive.  The
+    inequality reads prefix(k) + k >= n, and prefix(k) + k grows by
+    d_k + 1 >= 1 with each k, so it holds from the answer on and fails
+    before it: bisecting over k = 1..n-1 for the first k where it holds
+    (n if none does) finds the same k as the definition's upward scan, in
+    O(log n) steps.
     """
     n = d.n
-    for k in range(1, n + 1):
-        if d.prefix(k) >= n - k:
-            return k
-    raise AssertionError("unreachable: k = n always satisfies the inequality")
+    pre = d._prefix
+    return 1 + bisect_left(range(1, n), n, key=lambda k: pre[k] + k)
 
 
 def annihilation(d: DegreeSequence) -> int:
     """Largest a such that the a smallest degrees sum to at most the rest.
 
     Upper bound on the independence number of every realization of ``d``.
-    Computed from the definition (largest feasible a) rather than as
-    n - min{k : prefix(k) >= suffix(k)}; the two agree whenever the total
-    is positive but differ on all-zero sequences, where only the
-    definitional form satisfies a(d + (0,)) = a(d) + 1.
+    With k = n - a the condition reads suffix(k) <= prefix(k), that is
+    prefix(k) >= ceil(total / 2), which holds from some k on since the
+    prefix sums never decrease.  The largest a is therefore n minus the
+    first such k: the first index of the prefix sums that reaches
+    ceil(total / 2), found by bisection with k = 0 included.  That keeps
+    the all-zero case right: there ceil(0 / 2) = 0 = prefix(0), so a = n.
+    Appending a zero entry repeats the last prefix sum, after the first one
+    that reaches the bound, so a(d + (0,)) = a(d) + 1 as the definition
+    requires.  (A minimum over splits k >= 1 would give n - 1 on all-zero
+    sequences.)
     """
-    n = d.n
-    for a in range(n, -1, -1):
-        if d.suffix(n - a) <= d.prefix(n - a):
-            return a
-    return 0
+    return d.n - bisect_left(d._prefix, (d.total + 1) // 2)

@@ -165,3 +165,48 @@ def test_random_interval_specs_match_bruteforce_and_build_within_bounds():
         assert gale_ryser_feasible(spec) == expected, sides
         if expected:
             audit(spec, build_bounded_bipartite(spec))
+
+
+def sort_side_reference(lower, upper, side):
+    """The element-wise conversion, checks and (-lower, position) sort."""
+    lower = [int(x) for x in lower]
+    upper = [int(x) for x in upper]
+    if len(lower) != len(upper):
+        raise InvalidSequence(f"{side} lower/upper lengths differ")
+    if any(x < 0 for x in lower) or any(x < 0 for x in upper):
+        raise InvalidSequence(f"{side} bounds must be non-negative")
+    if any(a > b for a, b in zip(lower, upper)):
+        raise InvalidSequence(f"{side} has a lower bound above its upper bound")
+    order = sorted(range(len(lower)), key=lambda i: (-lower[i], i))
+    return tuple(lower[i] for i in order), tuple(upper[i] for i in order), tuple(order)
+
+
+def test_sort_side_matches_the_elementwise_reference():
+    from degseqopt.bipartite import _sort_side
+
+    rng = random.Random(1962)
+    for _ in range(3000):
+        size = rng.randint(0, 6)
+        lower = [rng.randint(-1, 3) for _ in range(size)]
+        upper = [rng.randint(-1, 4) for _ in range(size + (rng.random() < 0.1))]
+        try:
+            expected = sort_side_reference(lower, upper, "left")
+        except InvalidSequence as exc:
+            with pytest.raises(InvalidSequence, match=f"^{exc}$"):
+                _sort_side(lower, upper, "left")
+        else:
+            assert _sort_side(lower, upper, "left") == expected
+
+
+def test_exact_degrees_are_computed_once_per_spec(monkeypatch):
+    from degseqopt import bipartite
+
+    calls = []
+    original = bipartite._exact_degrees
+    monkeypatch.setattr(bipartite, "_exact_degrees",
+                        lambda spec: calls.append(spec) or original(spec))
+    spec = BipartiteDegreeSpec.create([1, 0, 2], [2, 1, 2], [1, 1], [2, 2])
+    assert gale_ryser_feasible(spec)
+    audit(spec, build_bounded_bipartite(spec))
+    assert gale_ryser_feasible(spec)
+    assert calls == [spec]

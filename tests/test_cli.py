@@ -33,7 +33,7 @@ def run_json(argv):
     return code, obj
 
 
-def run_cli_process(args, env=None):
+def run_cli_process(args, env=None, stdin_text=None):
     import os
 
     full_env = dict(os.environ)
@@ -44,6 +44,7 @@ def run_cli_process(args, env=None):
         capture_output=True,
         text=True,
         env=full_env,
+        input=stdin_text,
     )
 
 
@@ -499,3 +500,62 @@ def test_sweep_beyond_the_subset_tables_is_refused_before_enumerating(monkeypatc
     monkeypatch.setattr(cli, "iter_degree_sequences", enumerate_nothing)
     code, out = run_argv(["sweep", "--n-max", "15", "--limit", "20"])
     assert (code, out) == (EXIT_PARSE, "error: --n-max 15 exceeds oracle limit 14")
+
+
+# ---------------------------------------------------------------------------
+# the sequence from standard input
+
+
+@pytest.mark.parametrize("stdin_text, argv_text", [
+    ("3,2,2,1\n", "3,2,2,1"), ("3 2\n2\t1", "3,2,2,1"), ("1,2,2,3", "1,2,2,3"),
+])
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_sequence_from_stdin_gives_the_same_bytes(stdin_text, argv_text, json_flag):
+    from_stdin = run_cli_process(["bounds", "-", *json_flag], stdin_text=stdin_text)
+    from_argv = run_cli_process(["bounds", argv_text, *json_flag])
+    assert from_stdin.returncode == from_argv.returncode == EXIT_OK
+    assert from_stdin.stdout == from_argv.stdout
+    assert from_stdin.stderr == ""
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_empty_stdin_is_a_parse_error(json_flag):
+    proc = run_cli_process(["check", "-", *json_flag], stdin_text="")
+    assert proc.returncode == EXIT_PARSE
+    if json_flag:
+        obj = json.loads(proc.stdout)
+        jsonschema.validate(obj, SCHEMA)
+        assert obj["error"]["message"] == "empty sequence on standard input"
+    else:
+        assert proc.stdout == "error: empty sequence on standard input\n"
+    assert run_cli_process(["check", "-"], stdin_text=" \n\n").returncode == EXIT_PARSE
+    assert run_cli_process(["check", "-"], stdin_text="3,x").returncode == EXIT_PARSE
+
+
+def test_closed_stdin_is_a_parse_error():
+    import os
+
+    proc = subprocess.run([sys.executable, "-m", "degseqopt", "check", "-"],
+                          capture_output=True, text=True, preexec_fn=lambda: os.close(0))
+    assert proc.returncode == EXIT_PARSE
+    assert proc.stdout == "error: no standard input to read the sequence from\n"
+
+
+def test_realize_hh_reads_a_hundred_thousand_vertices_from_stdin():
+    # one argument holds at most 128 KiB on Linux; this sequence is larger
+    import random
+
+    rng = random.Random(20150716)
+    entries = [rng.randint(1, 5) for _ in range(99_999)]
+    entries.append(2 - sum(entries) % 2)  # an even sum
+    text = ",".join(map(str, entries))
+    assert len(text) > 128 * 1024
+    proc = run_cli_process(["realize", "hh", "-", "--json"], stdin_text=text)
+    assert proc.returncode == EXIT_OK, proc.stdout[-300:]
+    assert proc.stdout == run_argv(["realize", "hh", text, "--json"])[1] + "\n"
+    obj = json.loads(proc.stdout)
+    degrees = [0] * len(entries)
+    for u, v in obj["edges"]:
+        degrees[u - 1] += 1
+        degrees[v - 1] += 1
+    assert degrees == obj["sequence"]["sorted"] == sorted(entries, reverse=True)

@@ -1,4 +1,5 @@
 import random
+import time
 import warnings
 
 import pytest
@@ -22,7 +23,9 @@ from degseqopt import (
     gamma_min_forest,
     havel_hakimi_realize,
     independence_number,
+    is_forest_sequence,
     is_graphic,
+    iter_degree_sequences,
     normalize,
     omega_max,
     slater,
@@ -485,3 +488,72 @@ def test_forest_formulas_match_the_forest_oracle_at_n10_to_12():
         rep = oracle_extrema(d, GraphClass.FOREST, limit=12)
         assert gamma_min_forest(d).value == rep.gamma_min, d.entries
         assert alpha_max_forest(d).value == rep.alpha_max, d.entries
+
+
+# ---------------------------------------------------------------------------
+# forest formulas: bisections against the scans they replaced, and n = 10^5
+
+
+def gamma_min_forest_split_reference(pos):
+    """(value, k2 < k1) of the positive part by the per-k scan of both splits."""
+    p = pos.n
+    k1 = next(k for k in range(p + 1) if pos.prefix(k) >= pos.suffix(k))
+    k2 = None
+    for k in range(1, p + 1):
+        if pos.prefix(k) < p - k:
+            continue
+        surplus = pos.suffix(k) - pos.prefix(k)
+        if 0 <= surplus <= max(0, 2 * (pos.count_ge(2) - k) - 2):
+            k2 = k
+            break
+    return (k2, True) if k2 is not None and k2 < k1 else (k1, False)
+
+
+def test_gamma_min_forest_bisection_matches_the_split_scan():
+    rng = random.Random(1507)
+    samples = [normalize(list(s)) for n in range(2, 11)
+               for s in iter_degree_sequences(n, positive_only=True)]
+    for _ in range(500):
+        n = rng.randint(12, 300)
+        degrees = [1] * n
+        for _ in range(n - 2 - 2 * rng.randint(0, n // 10)):  # trees and forests
+            degrees[rng.randrange(n)] += 1
+        samples.append(normalize(degrees))
+    branches = []
+    for d in samples:
+        if not is_forest_sequence(d):
+            continue
+        res = gamma_min_forest(d)
+        k, head_independent = gamma_min_forest_split_reference(d)
+        assert (res.value, res.achieving_k) == (k, k), d.entries
+        assert (WitnessClaim.HEAD_INDEPENDENT in res.witness.claims) == head_independent
+        branches.append(head_independent)
+    assert len(branches) > 600 and set(branches) == {True, False}
+
+
+@pytest.mark.parametrize("family", ["path", "prufer"])
+def test_forest_formulas_and_witnesses_at_a_hundred_thousand_vertices(family):
+    # seeded; a step that turns quadratic (say, a union-find without path
+    # compression in a witness check) takes minutes here, not seconds
+    n = 100_000
+    rng = random.Random(20150716)
+    if family == "path":
+        degrees = [2] * (n - 2) + [1, 1]
+    else:
+        degrees = [1] * n
+        for _ in range(n - 2):
+            degrees[rng.randrange(n)] += 1
+    rng.shuffle(degrees)
+    start = time.perf_counter()
+    d = normalize(degrees)
+    gamma, alpha, g = gamma_min_forest(d), alpha_max_forest(d), forest_realize(d)
+    for res in (gamma, alpha):
+        assert validate_witness(res.witness).ok
+        assert res.witness.graph.m == n - 1
+    assert g.is_forest() and g.degrees == d.entries
+    elapsed = time.perf_counter() - start
+    assert elapsed < 10, f"{elapsed:.1f} s"
+    assert alpha.value == annihilation(d)
+    assert slater(d) <= gamma.value <= n - annihilation(d)
+    if family == "path":  # the only forest with these degrees is the path
+        assert (gamma.value, alpha.value) == ((n + 2) // 3, n // 2)

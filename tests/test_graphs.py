@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +23,7 @@ from degseqopt import (
     two_switch,
     validate_witness,
 )
+from degseqopt.graphs import _head_dominates, _head_independent, _tail_dominates, _tail_independent
 from degseqopt.solvers import _masks
 
 from conftest import random_graph
@@ -211,3 +213,76 @@ def test_graph_json_roundtrip():
     obj = graph_to_json_obj(g)
     assert obj == {"n": 4, "edges": [[1, 2], [3, 4]]}
     assert graph_from_json_obj(obj) == g
+
+
+# ---------------------------------------------------------------------------
+# the C-level construction and claim checks against the loops they replaced
+
+
+def graph_error_reference(n, edges):
+    """The ValueError text the per-edge set-based constructor raised, or None."""
+    sets = [set() for _ in range(n)]
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            return f"edge ({u}, {v}) out of range for n={n}"
+        if u == v:
+            return f"self-loop at vertex {u}"
+        if v in sets[u]:
+            return f"duplicate edge ({u}, {v})"
+        sets[u].add(v)
+        sets[v].add(u)
+    return None
+
+
+@pytest.mark.parametrize("edges, message", [
+    ([(0, 3)], "edge (0, 3) out of range for n=3"),
+    ([(-1, 0)], "edge (-1, 0) out of range for n=3"),
+    ([(2, 2)], "self-loop at vertex 2"),
+    ([(0, 1), (1, 0)], "duplicate edge (1, 0)"),
+    ([(0, 1), (1, 2), (1, 0), (0, 7)], "duplicate edge (1, 0)"),
+    ([(0, 1), (0, 7), (1, 0)], "edge (0, 7) out of range for n=3"),
+    ([(0, 1), (2, 2), (1, 0)], "self-loop at vertex 2"),
+    ([(0, 1), (0, 1), (2, 2)], "duplicate edge (0, 1)"),
+])
+def test_graph_errors_name_the_first_bad_edge(edges, message):
+    assert graph_error_reference(3, edges) == message
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Graph(3, edges)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Graph(3, iter(edges))  # a one-shot iterable is rescanned as well
+
+
+@given(st.integers(min_value=0, max_value=6),
+       st.lists(st.tuples(st.integers(min_value=-1, max_value=6),
+                          st.integers(min_value=-1, max_value=6)), max_size=12))
+@settings(max_examples=400)
+def test_graph_rejects_what_the_per_edge_checks_rejected(n, edges):
+    expected = graph_error_reference(n, edges)
+    if expected is None:
+        g = Graph(n, edges)
+        assert sorted(g.edges()) == sorted({(min(e), max(e)) for e in edges})
+        assert g.degrees == tuple(len(s) for s in g.adjacency_sets)
+    else:
+        with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+            Graph(n, edges)
+
+
+def dominates_reference(g, inside, outside):
+    return all(any(w in inside for w in g.adjacency_sets[v]) for v in outside)
+
+
+def independent_reference(g, vertices):
+    return not any(w in vertices for v in vertices for w in g.adjacency_sets[v])
+
+
+@given(st.integers(min_value=0, max_value=9), st.floats(min_value=0, max_value=1),
+       st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=200, deadline=None)
+def test_claim_checks_match_the_membership_loops_at_every_split(n, p, seed):
+    g = random_graph(random.Random(seed), n, p)
+    for k in range(n + 1):
+        head, tail = range(0, k), range(k, n)
+        assert _head_dominates(g, k) == dominates_reference(g, head, tail)
+        assert _tail_dominates(g, k) == dominates_reference(g, tail, head)
+        assert _head_independent(g, k) == independent_reference(g, head)
+        assert _tail_independent(g, k) == independent_reference(g, tail)

@@ -22,7 +22,7 @@ from degseqopt import (
     validate_witness,
 )
 from degseqopt.oracle import iter_degree_sequences
-from degseqopt.realize import _independent_tail_edges
+from degseqopt.realize import _independent_tail_edges, _peel_components
 
 
 def forest_sequences(n_max, positive_only=True):
@@ -362,3 +362,23 @@ def test_constructions_are_deterministic(seed):
     k = rng.choice(ks)
     first = independent_tail_forest(d, k).graph.edges()
     assert independent_tail_forest(d, k).graph.edges() == first
+
+
+@given(st.lists(st.integers(min_value=2, max_value=7), min_size=1, max_size=5),
+       st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=300)
+def test_peel_components_match_the_graph_components(sizes, pad, seed):
+    # f: the degrees of a few trees, shuffled, as the peel takes any order
+    rng = random.Random(seed)
+    f = [x for size in sizes for x in _prufer(rng, size)]
+    rng.shuffle(f)
+    edges = _independent_tail_edges(f, len(f))
+    size = len(f) + pad
+    assert _peel_components(edges, size) == Graph(size, edges).connected_components()
+
+
+def test_peel_components_on_every_positive_forest_sequence_up_to_n9():
+    for d in forest_sequences(9):
+        edges = _independent_tail_edges(d.entries, d.n)
+        for size in (d.n, d.n + 2):
+            assert _peel_components(edges, size) == Graph(size, edges).connected_components()

@@ -192,3 +192,77 @@ def test_positive_part():
     pos = d.positive_part()
     assert pos.entries == (2, 1)
     assert normalize([0, 0]).positive_part() is None
+
+
+# ---------------------------------------------------------------------------
+# the C-level fast paths against the loops they replaced
+
+padded_sequences = st.tuples(
+    st.lists(st.integers(min_value=0, max_value=12), max_size=12),
+    st.integers(min_value=0, max_value=4),
+).map(lambda t: t[0] + [0] * t[1]).filter(bool)
+
+
+def slater_reference(d):
+    for k in range(1, d.n + 1):
+        if d.prefix(k) >= d.n - k:
+            return k
+    raise AssertionError("k = n always satisfies the inequality")
+
+
+def annihilation_reference(d):
+    n = d.n
+    for a in range(n, -1, -1):
+        if d.suffix(n - a) <= d.prefix(n - a):
+            return a
+    return 0
+
+
+@given(padded_sequences)
+def test_normalize_order_is_the_minus_value_position_sort(raw):
+    d = normalize(raw)
+    order = sorted(range(len(raw)), key=lambda i: (-raw[i], i))
+    assert d.original_order == tuple(order)
+    assert d.entries == tuple(raw[i] for i in order)
+
+
+@given(padded_sequences)
+@settings(max_examples=300)
+def test_slater_and_annihilation_match_their_definitions(raw):
+    d = normalize(raw)
+    assert slater(d) == slater_reference(d)
+    assert annihilation(d) == annihilation_reference(d)
+    assert d._prefix == tuple(sum(d.entries[:k]) for k in range(d.n + 1))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7])
+def test_slater_and_annihilation_on_all_zero_sequences(n):
+    d = normalize([0] * n)
+    assert slater(d) == slater_reference(d) == n
+    assert annihilation(d) == annihilation_reference(d) == n
+
+
+def degree_sequence_reference_error(entries, order):
+    """The message the element-wise checks of DegreeSequence gave, or None."""
+    if not entries:
+        return "degree sequence must be non-empty"
+    if any(entries[i] < entries[i + 1] for i in range(len(entries) - 1)):
+        return "entries must be non-increasing"
+    if entries[-1] < 0:
+        return "entries must be non-negative"
+    if sorted(order) != list(range(len(entries))):
+        return "original_order must be a permutation"
+    return None
+
+
+@given(st.lists(st.integers(min_value=-2, max_value=4), max_size=6),
+       st.lists(st.integers(min_value=0, max_value=6), max_size=6))
+@settings(max_examples=300)
+def test_degree_sequence_rejects_what_the_elementwise_checks_rejected(entries, order):
+    for order_ in (order, list(range(len(entries)))):
+        expected = degree_sequence_reference_error(entries, order_)
+        if expected is None:
+            DegreeSequence(tuple(entries), tuple(order_))
+        else:
+            with pytest.raises(InvalidSequence, match=f"^{expected}$"):
+                DegreeSequence(tuple(entries), tuple(order_))
