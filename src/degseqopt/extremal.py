@@ -228,22 +228,34 @@ def _graphic_cached(entries: tuple[int, ...]) -> bool:
     return _graphic_erdos_gallai(entries)
 
 
-def _profiles_with_sum(caps: list[int], total: int):
+def _profile_room(caps: list[int]) -> list[list[int]]:
+    """room[v][i]: the sum of min(v, pm[j]) over j >= i, for v = 0..pm[0].
+
+    pm is the prefix minimum of ``caps``.  One suffix-sum list per value,
+    each from C-level passes; built once per side and split, and shared by
+    every total the scan asks ``_profiles_with_sum`` for.
+    """
+    pm = list(accumulate(caps, min))
+    room = []
+    for v in range(pm[0] + 1 if pm else 1):
+        row = list(accumulate(map(min, repeat(v), reversed(pm)), initial=0))
+        row.reverse()
+        room.append(row)
+    return room
+
+
+def _profiles_with_sum(caps: list[int], room: list[list[int]], total: int):
     """Non-increasing positive sequences with v_i <= caps[i] summing to ``total``.
 
     Yields them in lexicographically descending order.  Entry i is at most
     pm[i], the prefix minimum of ``caps``; a value v for it is tried only
     while the positions after it can still take the rest of the sum: at
     least one each, and at most room[v][i + 1], the sum of min(v, pm[j])
-    over j > i.  Every branch entered therefore yields a profile.
+    over j > i, from ``room = _profile_room(caps)``.  Every branch entered
+    therefore yields a profile.
     """
     n = len(caps)
-    pm = list(accumulate(caps, min))
-    top = pm[0] if n else 0
-    room = []  # room[v]: suffix sums of min(v, pm[j]), one list per value
-    for v in range(top + 1):
-        room.append(list(accumulate(map(min, repeat(v), reversed(pm)), initial=0)))
-        room[v].reverse()
+    top = len(room) - 1  # pm[0], or 0 for no caps
     if not n <= total <= room[top][0]:
         return
     if not n:
@@ -285,11 +297,12 @@ def _split_feasible(pos: DegreeSequence, k: int):
         return "whole"
     head_caps = [min(pos.entries[i], p - k) for i in range(k)]
     tail_caps = [min(pos.entries[k + j], k) for j in range(p - k)]
-    top = min(sum(accumulate(head_caps, min)), sum(accumulate(tail_caps, min)))
+    head_room, tail_room = _profile_room(head_caps), _profile_room(tail_caps)
+    top = min(head_room[-1][0], tail_room[-1][0])  # the sums of prefix-minimum caps
     for total in range(max(k, p - k), top + 1):
         lefts = [
             L
-            for L in _profiles_with_sum(head_caps, total)
+            for L in _profiles_with_sum(head_caps, head_room, total)
             if _graphic_cached(
                 tuple(sorted((pos.entries[i] - L[i] for i in range(k)), reverse=True))
             )
@@ -298,7 +311,7 @@ def _split_feasible(pos: DegreeSequence, k: int):
             continue
         rights = [
             R
-            for R in _profiles_with_sum(tail_caps, total)
+            for R in _profiles_with_sum(tail_caps, tail_room, total)
             if _graphic_cached(
                 tuple(sorted((pos.entries[k + j] - R[j] for j in range(p - k)), reverse=True))
             )

@@ -207,14 +207,16 @@ def test_gamma_min_scan_returns_first_feasible_split():
 
 
 def test_profiles_with_sum_matches_eager_reference():
-    from degseqopt.extremal import _profiles_with_sum
+    from degseqopt.extremal import _profile_room, _profiles_with_sum
 
     rng = random.Random(14)
     for _ in range(400):
         caps = [rng.randint(0, 5) for _ in range(rng.randint(1, 9))]
         groups = profiles_by_sum(caps)
+        room = _profile_room(caps)
         for total in range(sum(caps) + 3):
-            assert list(_profiles_with_sum(caps, total)) == groups.get(total, []), (caps, total)
+            got = list(_profiles_with_sum(caps, room, total))
+            assert got == groups.get(total, []), (caps, total)
 
 
 def test_gamma_min_bounded_near_uniform_delta5_n100():
