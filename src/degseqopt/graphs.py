@@ -29,9 +29,7 @@ __all__ = [
     "degree_sequence",
     "two_switch",
     "validate_witness",
-    "parse_edge_list_text",
     "graph_from_json_obj",
-    "graph_to_json_obj",
     "witness_to_json_obj",
 ]
 
@@ -102,11 +100,28 @@ class Graph:
             comps.append(sorted(comp))
         return comps
 
+    def _component_count(self) -> int:
+        """Number of connected components, by one DFS over a ``bytearray``."""
+        seen = bytearray(self.n)
+        count = 0
+        for start in range(self.n):
+            if seen[start]:
+                continue
+            count += 1
+            seen[start] = 1
+            stack = [start]
+            while stack:
+                for v in self.adjacency_sets[stack.pop()]:
+                    if not seen[v]:
+                        seen[v] = 1
+                        stack.append(v)
+        return count
+
     def is_connected(self) -> bool:
-        return self.n <= 1 or len(self.connected_components()) == 1
+        return self._component_count() <= 1
 
     def is_forest(self) -> bool:
-        return self.m == self.n - len(self.connected_components())
+        return self.m == self.n - self._component_count()
 
     def with_edges_swapped(self, removed, added) -> "Graph":
         edge_set = set(self.edges())
@@ -263,11 +278,6 @@ def validate_witness(w: RealizationWitness) -> WitnessReport:
     return WitnessReport(degrees_match=degrees_match, claim_results=results, ok=ok)
 
 
-def parse_edge_list_text(text: str) -> Graph:
-    """Parse the edge-list format: first line "n m", then m lines "i j" (1-based)."""
-    return Graph(*_edge_list_parts(text))
-
-
 def _edge_list_parts(text: str) -> tuple[int, list[tuple[int, int]]]:
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
     if not lines:
@@ -303,10 +313,6 @@ def _json_graph_parts(obj) -> tuple[int, list[tuple[int, int]]]:
     ):
         raise ValueError('graph JSON "edges" must be a list of [i, j] integer pairs')
     return n, [(i - 1, j - 1) for i, j in edges]
-
-
-def graph_to_json_obj(g: Graph) -> dict:
-    return {"n": g.n, "edges": [[u + 1, v + 1] for u, v in g.edges()]}
 
 
 def witness_to_json_obj(w: RealizationWitness) -> dict:

@@ -7,7 +7,11 @@ Two engines sit behind one interface:
   with n shift-and-mask doubling steps;
 * branch and bound beyond the table range: minimum set cover over closed
   neighborhoods for domination, and a clique-cover-bounded search for
-  independence.
+  independence.  The domination search prunes on two lower bounds (a
+  greedy distance-3 packing of uncovered vertices, and the uncovered count
+  over the largest gain) and skips a coverer whose gain lies inside the
+  gain of one it keeps: set-cover reductions of exact dominating-set
+  algorithms (van Rooij and Bodlaender, 2011).
 
 Both work on per-vertex neighbor bitmasks, a format private to this
 module: the public solvers convert a ``Graph`` once.  The oracle builds
@@ -129,42 +133,83 @@ def _alpha_table(masks: tuple[int, ...], n: int) -> tuple[int, set[int]]:
 
 
 def _gamma_branch_bound(masks: tuple[int, ...], n: int) -> tuple[int, set[int]]:
-    """Minimum set cover over closed-neighborhood masks."""
-    full = (1 << n) - 1
+    """Minimum set cover over closed-neighborhood masks.
+
+    Starts from the greedy cover (largest gain first, lowest index on ties)
+    and branches on the uncovered vertex with the smallest closed
+    neighborhood, lowest index on ties, read off one order sorted up front:
+    some vertex of its closed neighborhood must join the cover.  A node is
+    pruned as soon as a lower bound on the vertices still to add reaches the
+    room left below the best cover found:
+
+    * packing: uncovered vertices at pairwise distance >= 3, picked greedily
+      along that order, have disjoint closed neighborhoods, so no vertex
+      covers two of them and each needs a vertex of its own;
+    * gain: a vertex's gain is the set of uncovered vertices it covers, so
+      at least ceil(|U| / largest gain) more vertices cover U.
+
+    Both count vertices that every cover below the node must add, so no
+    pruned node holds a smaller cover.  The coverers are tried by gain,
+    largest first, and one whose gain lies inside a kept coverer's gain is
+    skipped: swapping it for that coverer turns any cover into one no
+    larger, so some minimum cover below the node goes through a kept one.
+    """
     cn = [masks[v] | (1 << v) for v in range(n)]
+    order = sorted(range(n), key=list(map(int.bit_count, cn)).__getitem__)
+    near = [0] * n  # N[N[u]], built when the packing first picks u
 
-    # greedy initial cover for the upper bound
-    uncovered = full
-    greedy: list[int] = []
-    while uncovered:
-        v = max(range(n), key=lambda x: ((cn[x] & uncovered).bit_count(), -x))
-        greedy.append(v)
-        uncovered &= ~cn[v]
-    best_size = len(greedy)
-    best_set = list(greedy)
+    # greedy cover for the first upper bound
+    unc = (1 << n) - 1
+    best: list[int] = []
+    while unc:
+        gains = list(map(int.bit_count, map(unc.__and__, cn)))
+        v = gains.index(max(gains))
+        best.append(v)
+        unc &= ~cn[v]
+    chosen: list[int] = []
 
-    def rec(uncovered: int, chosen: list[int]) -> None:
-        nonlocal best_size, best_set
-        if not uncovered:
-            if len(chosen) < best_size:
-                best_size = len(chosen)
-                best_set = list(chosen)
+    def rec(unc: int) -> None:
+        nonlocal best
+        if not unc:
+            if len(chosen) < len(best):
+                best = list(chosen)
             return
-        max_cover = max((cn[v] & uncovered).bit_count() for v in range(n))
-        lower = (uncovered.bit_count() + max_cover - 1) // max_cover
-        if len(chosen) + lower >= best_size:
+        room = len(best) - len(chosen)
+        # gain bound: no vertex covers more than `top` uncovered vertices
+        top = max(map(int.bit_count, map(unc.__and__, cn)))
+        lower = -(-unc.bit_count() // top)
+        if lower >= room:
             return
-        # branch on the hardest-to-cover uncovered vertex; its coverers
-        # are exactly its closed neighborhood
-        u = min(_bits(uncovered), key=lambda x: cn[x].bit_count())
-        cands = sorted(_bits(cn[u]), key=lambda v: (-(cn[v] & uncovered).bit_count(), v))
-        for v in cands:
-            chosen.append(v)
-            rec(uncovered & ~cn[v], chosen)
-            chosen.pop()
+        # packing bound: uncovered vertices pairwise at distance >= 3
+        packed = 0
+        left = unc
+        for u in order:
+            if left >> u & 1:
+                packed += 1
+                if packed >= room:
+                    return
+                ball = near[u]
+                if not ball:
+                    for w in _bits(cn[u]):
+                        ball |= cn[w]
+                    near[u] = ball
+                left &= ~ball
+        lower = max(lower, packed)
+        u = next(u for u in order if unc >> u & 1)
+        kept: list[int] = []  # gains of the coverers branched on
+        for v in sorted(_bits(cn[u]), key=lambda v: -(cn[v] & unc).bit_count()):
+            gain = cn[v] & unc
+            if all(gain & ~other for other in kept):
+                kept.append(gain)
+                chosen.append(v)
+                rec(unc & ~gain)
+                chosen.pop()
+                # a smaller cover found below may have closed this node
+                if len(chosen) + lower >= len(best):
+                    return
 
-    rec(full, [])
-    return best_size, set(best_set)
+    rec((1 << n) - 1)
+    return len(best), set(best)
 
 
 def _alpha_branch_bound(masks: tuple[int, ...], n: int) -> tuple[int, set[int]]:

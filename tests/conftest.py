@@ -7,6 +7,7 @@ tests cross-check two unrelated implementations.
 from __future__ import annotations
 
 import random
+import sys
 from functools import lru_cache
 from itertools import combinations, groupby
 
@@ -222,6 +223,77 @@ def oracle_extrema_reference(d: DegreeSequence, graph_class: GraphClass) -> Orac
     )
 
 
+def gamma_branch_bound_reference(masks: tuple[int, ...], n: int) -> tuple[int, set[int]]:
+    """Minimum set cover over closed neighborhoods, with the greedy cover as
+    the first upper bound and only the ceil(|U| / max gain) lower bound.
+
+    The branch and bound ``solvers._gamma_branch_bound`` used before its
+    packing bound and dominated-coverer rule; same mask format.
+    """
+    full = (1 << n) - 1
+    cn = [masks[v] | (1 << v) for v in range(n)]
+    uncovered = full
+    greedy: list[int] = []
+    while uncovered:
+        v = max(range(n), key=lambda x: ((cn[x] & uncovered).bit_count(), -x))
+        greedy.append(v)
+        uncovered &= ~cn[v]
+    best_size = len(greedy)
+    best_set = list(greedy)
+
+    def rec(uncovered: int, chosen: list[int]) -> None:
+        nonlocal best_size, best_set
+        if not uncovered:
+            if len(chosen) < best_size:
+                best_size = len(chosen)
+                best_set = list(chosen)
+            return
+        max_cover = max((cn[v] & uncovered).bit_count() for v in range(n))
+        lower = (uncovered.bit_count() + max_cover - 1) // max_cover
+        if len(chosen) + lower >= best_size:
+            return
+        uncovered_list = [v for v in range(n) if uncovered >> v & 1]
+        u = min(uncovered_list, key=lambda x: cn[x].bit_count())
+        coverers = [v for v in range(n) if cn[u] >> v & 1]
+        for v in sorted(coverers, key=lambda v: (-(cn[v] & uncovered).bit_count(), v)):
+            chosen.append(v)
+            rec(uncovered & ~cn[v], chosen)
+            chosen.pop()
+
+    rec(full, [])
+    return best_size, set(best_set)
+
+
+def search_tree_shape(engine, masks: tuple[int, ...]):
+    """``engine(masks, n)`` and its search tree's node count per depth.
+
+    The branch and bound engines recurse through a nested function named
+    ``rec``, one call per node; the profiler hook counts those calls at each
+    nesting depth, so entry 0 is the root and entry 1 its children.
+    """
+    depth = 0
+    counts: list[int] = []
+
+    def hook(frame, event, arg):
+        nonlocal depth
+        if frame.f_code.co_name != "rec":
+            return
+        if event == "call":
+            if depth == len(counts):
+                counts.append(0)
+            counts[depth] += 1
+            depth += 1
+        elif event == "return":
+            depth -= 1
+
+    sys.setprofile(hook)
+    try:
+        result = engine(masks, len(masks))
+    finally:
+        sys.setprofile(None)
+    return result, counts
+
+
 def all_graphs(n: int):
     """Every labeled graph on n vertices (use only for small n)."""
     pairs = list(combinations(range(n), 2))
@@ -237,6 +309,18 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
     edges = [
         (i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p
     ]
+    return Graph(n, edges)
+
+
+def random_connected_gnp(rng: random.Random, n: int, p: float) -> Graph:
+    """G(n, p), then an edge from each later component to a random earlier vertex."""
+    g = random_graph(rng, n, p)
+    edges = g.edges()
+    comps = g.connected_components()
+    for i in range(1, len(comps)):
+        u = rng.choice([v for comp in comps[:i] for v in comp])
+        v = rng.choice(comps[i])
+        edges.append((min(u, v), max(u, v)))
     return Graph(n, edges)
 
 

@@ -15,15 +15,13 @@ from degseqopt import (
     degree_sequence,
     domination_number,
     graph_from_json_obj,
-    graph_to_json_obj,
     independence_number,
     normalize,
-    parse_edge_list_text,
     slater,
     two_switch,
     validate_witness,
 )
-from degseqopt.graphs import _head_dominates, _head_independent, _tail_dominates, _tail_independent
+from degseqopt.graphs import _edge_list_parts, _head_dominates, _head_independent, _tail_dominates, _tail_independent
 from degseqopt.solvers import _masks
 
 from conftest import random_graph
@@ -200,18 +198,18 @@ def test_complement_of_minimum_dominating_set_dominates():
 
 
 def test_edge_list_roundtrip():
-    g = parse_edge_list_text("4 3\n1 2\n2 3\n3 4\n")
+    g = Graph(*_edge_list_parts("4 3\n1 2\n2 3\n3 4\n"))
     assert g.edges() == [(0, 1), (1, 2), (2, 3)]
     with pytest.raises(ValueError):
-        parse_edge_list_text("4 2\n1 2\n")
+        Graph(*_edge_list_parts("4 2\n1 2\n"))
     with pytest.raises(ValueError):
-        parse_edge_list_text("")
+        Graph(*_edge_list_parts(""))
 
 
 def test_graph_json_roundtrip():
     g = Graph(4, [(0, 1), (2, 3)])
-    obj = graph_to_json_obj(g)
-    assert obj == {"n": 4, "edges": [[1, 2], [3, 4]]}
+    obj = {"n": 4, "edges": [[1, 2], [3, 4]]}
+    assert {"n": g.n, "edges": [[u + 1, v + 1] for u, v in g.edges()]} == obj
     assert graph_from_json_obj(obj) == g
 
 

@@ -3,9 +3,18 @@ import random
 import pytest
 
 from degseqopt import Graph, TooLarge, clique_number, domination_number, independence_number
-from degseqopt.solvers import _alpha_branch_bound, _gamma_branch_bound, _masks
+from degseqopt.solvers import _alpha_branch_bound, _gamma_branch_bound, _gamma_table, _masks
 
-from conftest import naive_clique, naive_domination, naive_independence, random_graph
+from conftest import (
+    gamma_branch_bound_reference,
+    naive_clique,
+    naive_domination,
+    naive_independence,
+    random_connected_graph,
+    random_connected_gnp,
+    random_graph,
+    search_tree_shape,
+)
 
 
 def path(n):
@@ -143,3 +152,110 @@ def test_clique_number_beyond_64_vertices():
     g = Graph(70, edges)
     assert clique_number(g, limit=80) == 5
     assert clique_number(path(70), limit=80) == 2
+
+
+# ---------------------------------------------------------------------------
+# the domination branch and bound: packing bound and dominated coverers
+
+
+def dominates(masks, chosen):
+    covered = 0
+    for v in chosen:
+        covered |= masks[v] | (1 << v)
+    return covered == (1 << len(masks)) - 1
+
+
+def grown_graph(rng, n):
+    """A G(n', p) core grown to n vertices by pendant vertices, true twins
+    (equal closed neighborhoods) and isolated vertices, then relabelled."""
+    core = rng.randint(1, n)
+    edges = random_graph(rng, core, rng.choice([0.1, 0.2, 0.35, 0.6])).edges()
+    nbrs = [set() for _ in range(n)]
+    for u, v in edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    for x in range(core, n):
+        kind = rng.choice(("pendant", "twin", "isolated"))
+        v = rng.randrange(x)
+        if kind == "pendant":
+            nbrs[x] = {v}
+        elif kind == "twin":
+            nbrs[x] = nbrs[v] | {v}
+        for w in nbrs[x]:
+            nbrs[w].add(x)
+    label = list(range(n))
+    rng.shuffle(label)
+    return Graph(n, [(label[u], label[w]) for u in range(n) for w in nbrs[u] if u < w])
+
+
+def test_gamma_branch_bound_matches_tables():
+    rng = random.Random(20110501)
+    for _ in range(2000):
+        n = rng.randint(1, 14)
+        masks = _masks(grown_graph(rng, n))
+        size, chosen = _gamma_branch_bound(masks, n)
+        assert size == _gamma_table(masks, n)[0]
+        assert len(chosen) == size and dominates(masks, chosen)
+
+
+@pytest.mark.parametrize("n", range(15, 41))
+def test_paths_and_cycles_past_the_tables(n):
+    for g in (path(n), cycle(n)):
+        size, chosen = domination_number(g, limit=40)
+        assert size == -(-n // 3)
+        assert len(chosen) == size and dominates(_masks(g), chosen)
+
+
+def corona(g):
+    """g with a pendant vertex hung on every vertex; leaves take the low labels."""
+    m = g.n
+    return Graph(2 * m, [(u + m, v + m) for u, v in g.edges()] + [(v, v + m) for v in range(m)])
+
+
+@pytest.mark.parametrize("m", range(8, 17))
+def test_corona_is_settled_at_the_root(m):
+    # the m leaves are pairwise at distance >= 3 and the greedy cover takes
+    # m vertices, so the packing bound meets it before any branching
+    rng = random.Random(m)
+    for g in (path(m), random_connected_graph(rng, m, m // 2), complete(m)):
+        masks = _masks(corona(g))
+        (size, chosen), shape = search_tree_shape(_gamma_branch_bound, masks)
+        assert size == m and len(chosen) == m and dominates(masks, chosen)
+        assert shape == [1]
+        assert domination_number(corona(g))[0] == m
+
+
+def maximal_coverer_gains(masks):
+    """Distinct gains of the root branch vertex's coverers that lie in no
+    other one: the children the dominated-coverer rule allows at the root."""
+    n = len(masks)
+    cn = [masks[v] | (1 << v) for v in range(n)]
+    u = min(range(n), key=lambda v: (cn[v].bit_count(), v))
+    gains = {cn[v] for v in range(n) if cn[u] >> v & 1}
+    return sum(not any(g != h and g & ~h == 0 for h in gains) for g in gains)
+
+
+def test_root_branches_only_on_undominated_coverers():
+    # a pendant vertex (closed neighborhood of 2) is the branch vertex, and
+    # its own gain lies inside its neighbor's; twins give equal gains
+    rng = random.Random(2011)
+    branched = 0
+    for _ in range(300):
+        n = rng.randint(15, 24)
+        masks = _masks(grown_graph(rng, n))
+        (size, chosen), shape = search_tree_shape(_gamma_branch_bound, masks)
+        assert dominates(masks, chosen) and len(chosen) == size
+        if len(shape) > 1:
+            branched += 1
+            assert shape[1] <= maximal_coverer_gains(masks)
+    assert branched >= 50
+
+
+def test_gamma_branch_bound_agrees_with_reference_on_connected_gnp():
+    rng = random.Random(16205)
+    for n in range(15, 33):
+        for p in (0.1, 0.2, 0.4):
+            masks = _masks(random_connected_gnp(rng, n, p))
+            size, chosen = _gamma_branch_bound(masks, n)
+            assert size == gamma_branch_bound_reference(masks, n)[0]
+            assert len(chosen) == size and dominates(masks, chosen)
