@@ -170,9 +170,8 @@ def _gamma_branch_bound(masks: tuple[int, ...], n: int) -> tuple[int, set[int]]:
 
     def rec(unc: int) -> None:
         nonlocal best
-        if not unc:
-            if len(chosen) < len(best):
-                best = list(chosen)
+        if not unc:  # the bounds let only a smaller cover get here
+            best = list(chosen)
             return
         room = len(best) - len(chosen)
         # gain bound: no vertex covers more than `top` uncovered vertices

@@ -224,11 +224,10 @@ def oracle_extrema_reference(d: DegreeSequence, graph_class: GraphClass) -> Orac
 
 
 def gamma_branch_bound_reference(masks: tuple[int, ...], n: int) -> tuple[int, set[int]]:
-    """Minimum set cover over closed neighborhoods, with the greedy cover as
-    the first upper bound and only the ceil(|U| / max gain) lower bound.
-
-    The branch and bound ``solvers._gamma_branch_bound`` used before its
-    packing bound and dominated-coverer rule; same mask format.
+    """Minimum set cover over closed neighborhoods, in the mask format of
+    ``solvers._gamma_branch_bound``: the greedy cover as the first upper
+    bound, ceil(|U| / max gain) as the only lower bound, and every coverer
+    of the branch vertex tried, with no packing bound or subset rule.
     """
     full = (1 << n) - 1
     cn = [masks[v] | (1 << v) for v in range(n)]
