@@ -1,15 +1,14 @@
-"""Labeled simple-graph model, 2-switch mutation, and re-checkable witnesses.
+"""Labeled simple-graph model and re-checkable witnesses.
 
 Vertices are 0-based internally (``u_1`` in reports corresponds to vertex 0).
-Graphs are immutable after construction; every mutation-like operation
-returns a new graph.  Adjacency is one frozenset of neighbors per vertex,
-so memory grows with the edge count; the exact solvers derive their own
-bitmasks from it.  Construction range-checks each edge while it fills
-neighbour lists, then freezes them with C-level ``map`` calls; a self-loop
-or a repeated edge shows as a set shorter than its list, and only then
-are the edges rescanned so the error names the first bad one.  Witness
-claims are re-checked with one ``min`` or ``max`` per adjacency set, as
-the head and the tail are vertex ranges.
+Graphs are immutable after construction.  Adjacency is one frozenset of
+neighbors per vertex, so memory grows with the edge count; the exact
+solvers derive their own bitmasks from it.  Construction range-checks each
+edge while it fills neighbour lists, then freezes them with C-level
+``map`` calls; a self-loop or a repeated edge shows as a set shorter than
+its list, and only then are the edges rescanned so the error names the
+first bad one.  Witness claims are re-checked with one ``min`` or ``max``
+per adjacency set, as the head and the tail are vertex ranges.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .errors import PreconditionViolated, InvalidWitness
+from .errors import InvalidWitness
 from .sequences import DegreeSequence, normalize
 
 __all__ = [
@@ -27,9 +26,7 @@ __all__ = [
     "RealizationWitness",
     "WitnessReport",
     "degree_sequence",
-    "two_switch",
     "validate_witness",
-    "graph_from_json_obj",
     "witness_to_json_obj",
 ]
 
@@ -59,9 +56,6 @@ class Graph:
         # a self-loop or a repeated edge lists a neighbour twice
         if self.degrees != tuple(map(len, self.adjacency_sets)):
             raise _first_bad_edge(n, edges)
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(sorted(self.adjacency_sets[v]))
 
     def degree(self, v: int) -> int:
         return self.degrees[v]
@@ -123,14 +117,6 @@ class Graph:
     def is_forest(self) -> bool:
         return self.m == self.n - self._component_count()
 
-    def with_edges_swapped(self, removed, added) -> "Graph":
-        edge_set = set(self.edges())
-        for u, v in removed:
-            edge_set.discard((min(u, v), max(u, v)))
-        for u, v in added:
-            edge_set.add((min(u, v), max(u, v)))
-        return Graph(self.n, sorted(edge_set))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
@@ -160,30 +146,6 @@ def _first_bad_edge(n: int, edges: list[tuple[int, int]]) -> ValueError:
 def degree_sequence(g: Graph) -> DegreeSequence:
     """Sorted degree sequence of ``g``."""
     return normalize(g.degrees)
-
-
-def two_switch(g: Graph, xy: tuple[int, int], xpyp: tuple[int, int]) -> Graph:
-    """Exchange disjoint edges xy, x'y' for the non-edges xx', yy'.
-
-    Degrees are preserved vertex by vertex.  Raises PreconditionViolated
-    naming the failing pair when the edges are not disjoint, not present,
-    or the replacement pairs are already adjacent.
-    """
-    x, y = xy
-    xp, yp = xpyp
-    if not all(0 <= v < g.n for v in (x, y, xp, yp)):
-        raise PreconditionViolated(f"vertex out of range in {xy}, {xpyp}")
-    if len({x, y, xp, yp}) != 4:
-        raise PreconditionViolated(f"edges {xy} and {xpyp} are not disjoint")
-    if not g.has_edge(x, y):
-        raise PreconditionViolated(f"{xy} is not an edge")
-    if not g.has_edge(xp, yp):
-        raise PreconditionViolated(f"{xpyp} is not an edge")
-    if g.has_edge(x, xp):
-        raise PreconditionViolated(f"({x}, {xp}) is already an edge")
-    if g.has_edge(y, yp):
-        raise PreconditionViolated(f"({y}, {yp}) is already an edge")
-    return g.with_edges_swapped([(x, y), (xp, yp)], [(x, xp), (y, yp)])
 
 
 class WitnessClaim(enum.Enum):
@@ -296,11 +258,6 @@ def _edge_list_parts(text: str) -> tuple[int, list[tuple[int, int]]]:
         i, j = int(parts[0]), int(parts[1])
         edges.append((i - 1, j - 1))
     return n, edges
-
-
-def graph_from_json_obj(obj: dict) -> Graph:
-    """Build a graph from {"n": int, "edges": [[i, j], ...]} with 1-based indices."""
-    return Graph(*_json_graph_parts(obj))
 
 
 def _json_graph_parts(obj) -> tuple[int, list[tuple[int, int]]]:

@@ -14,8 +14,6 @@ The search decides only how many members of each class to take and
 weights the subtree by the product of binomials C(|class|, k); the count
 is the sum of the leaf weights, and the extrema of the three
 (isomorphism-invariant) numbers are those of the representatives.
-``enumerate_realizations`` with a visitor still reaches every labeled
-graph, by giving each candidate a class of its own.
 
 The extrema are built along the enumeration tree, not solved per
 realization: once a vertex has chosen its later neighbors its row is
@@ -34,7 +32,6 @@ from math import comb, prod
 from typing import Callable, Iterator
 
 from .errors import TooLarge
-from .graphs import Graph
 from .sequences import DegreeSequence, _graphic_erdos_gallai, is_forest_sequence, is_graphic
 from .solvers import _TABLE_MAX, _largest_member, _smallest_member, _subsets_avoiding, _tables
 
@@ -79,34 +76,6 @@ def _resolve_limit(graph_class: GraphClass, limit: int | None) -> int:
     return DEFAULT_ORACLE_LIMITS[graph_class] if limit is None else limit
 
 
-def enumerate_realizations(
-    d: DegreeSequence,
-    graph_class: GraphClass = GraphClass.GENERAL,
-    visitor: Callable[[Graph], None] | None = None,
-    limit: int | None = None,
-) -> int:
-    """Count the positional realizations of ``d``; visit each one once.
-
-    Backtracks over vertices in the sorted (non-increasing) order,
-    choosing each vertex's neighbors among the later vertices.  Branches
-    are pruned by a graphicality test on the leftover degrees (forest
-    test plus incremental acyclicity for the forest class).  Returns the
-    number of realizations; the visit order and count are deterministic.
-    Without a visitor the count is weighted over classes of
-    interchangeable vertices (see :func:`_enumerate_masks`); with one,
-    every labeled realization is built and visited.
-    """
-    visit = None
-    if visitor is not None:
-        n = d.n
-
-        def visit(masks: list[int], state) -> None:
-            visitor(Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
-                              if masks[u] >> v & 1]))
-
-    return _enumerate_masks(d, graph_class, limit, visit, labeled=visitor is not None)
-
-
 def _class_picks(sizes: tuple[int, ...], r: int) -> list[tuple[tuple[int, ...], int]]:
     """Every way to take ``r`` members from classes of the given sizes.
 
@@ -125,16 +94,22 @@ def _class_picks(sizes: tuple[int, ...], r: int) -> list[tuple[tuple[int, ...], 
     ]
 
 
-def _enumerate_masks(
+def enumerate_realizations(
     d: DegreeSequence,
-    graph_class: GraphClass,
-    limit: int | None,
+    graph_class: GraphClass = GraphClass.GENERAL,
+    limit: int | None = None,
+    *,
     visit: Callable[[list[int], object], None] | None = None,
     fold: Callable[[int, int, object], object] | None = None,
     state: object = None,
-    labeled: bool = False,
 ) -> int:
-    """The enumeration behind :func:`enumerate_realizations`.
+    """Count the positional realizations of ``d``, weighted over classes.
+
+    Backtracks over vertices in the sorted (non-increasing) order,
+    choosing each vertex's neighbors among the later vertices.  Branches
+    are pruned by a graphicality test on the leftover degrees (forest
+    test plus incremental acyclicity for the forest class).  The visit
+    order and the count are deterministic.
 
     When vertex i picks its later neighbors, the candidates j > i are
     grouped into classes: j and j' share a class when d_j = d_j' and
@@ -145,17 +120,17 @@ def _enumerate_masks(
     graph (a forest exactly when the other is).  The loop therefore
     takes, per class, only how many members to pick (always the first
     ones), and weights the subtree by prod C(|class|, k); the returned
-    count sums the leaf weights.  Every extremum of an isomorphism
-    invariant is unchanged.  With ``labeled`` each candidate is its own
-    class (weight 1, the choices of ``combinations``), so every labeled
-    realization is reached.
+    count sums the leaf weights, which is the number of labeled
+    realizations.  Every extremum of an isomorphism invariant is
+    unchanged.
 
-    ``visit(masks, state)`` receives each reached realization as
-    per-vertex neighbor bitmasks (a live list: read it before returning).
-    When vertex i's row is final (it has chosen its later neighbors),
-    ``fold(i, masks[i], state)`` returns the state handed to depth i+1, so
-    a caller can accumulate per-row data along the tree instead of
-    recomputing it at each leaf.
+    ``visit``, ``fold`` and ``state`` are keyword-only hooks over
+    per-vertex neighbor bitmasks.  ``visit(masks, state)`` receives each
+    reached representative (a live list: read it before returning).  When
+    vertex i's row is final (it has chosen its later neighbors),
+    ``fold(i, masks[i], state)`` returns the state handed to depth i+1,
+    starting from ``state``, so a caller can accumulate per-row data
+    along the tree instead of recomputing it at each leaf.
     """
     limit = _resolve_limit(graph_class, limit)
     if d.n > limit:
@@ -205,10 +180,10 @@ def _enumerate_masks(
         if r == 0:
             rec(i + 1, state if fold is None else fold(i, masks[i], state), weight)
             return
-        classes: dict[object, list[int]] = {}
+        classes: dict[tuple[int, int], list[int]] = {}
         for j in range(i + 1, n):
             if residual[j] > 0:
-                classes.setdefault(j if labeled else (entries[j], masks[j]), []).append(j)
+                classes.setdefault((entries[j], masks[j]), []).append(j)
         candidates = [j for members in classes.values() for j in members]
         sizes = tuple(len(members) for members in classes.values())
         ways = picks.get((sizes, r))
@@ -262,9 +237,10 @@ def oracle_extrema(
     ``dom``, and alpha and omega off the largest size class of the
     complements of ``nonind`` and ``noncl``; no solver runs per
     realization.  Only one realization per class of interchangeable
-    vertices is reached (see :func:`_enumerate_masks`): its three numbers
-    are those of every graph it stands for, and ``realization_count`` is
-    the weighted count, equal to the number of labeled realizations.  The
+    vertices is reached (see :func:`enumerate_realizations`): its three
+    numbers are those of every graph it stands for, and
+    ``realization_count`` is the weighted count, equal to the number of
+    labeled realizations.  The
     tables need n <= 14 (``solvers._TABLE_MAX``), so a longer sequence
     raises ``TooLarge`` before any enumeration, whatever ``limit`` says.
     """
@@ -307,7 +283,8 @@ def oracle_extrema(
             _largest_member(full ^ noncl, n)[0],
         ))
 
-    count = _enumerate_masks(d, graph_class, limit, visit, fold, (full, 0, 0))
+    count = enumerate_realizations(d, graph_class, limit, visit=visit, fold=fold,
+                                   state=(full, 0, 0))
     columns = list(zip(*seen))
     lo = [min(c) for c in columns] or [None] * 3  # all None: no realization
     hi = [max(c) for c in columns] or [None] * 3

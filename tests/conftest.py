@@ -293,6 +293,33 @@ def search_tree_shape(engine, masks: tuple[int, ...]):
     return result, counts
 
 
+def two_switch(g: Graph, xy: tuple[int, int], xpyp: tuple[int, int]) -> Graph:
+    """Exchange disjoint edges xy, x'y' for the non-edges xx', yy'.
+
+    Degrees are preserved vertex by vertex, and 2-switches connect all
+    realizations of a sequence (R. Taylor 1981).  Raises
+    PreconditionViolated naming the failing pair when the edges are not
+    disjoint, not present, or the replacement pairs are already adjacent.
+    """
+    x, y = xy
+    xp, yp = xpyp
+    if not all(0 <= v < g.n for v in (x, y, xp, yp)):
+        raise PreconditionViolated(f"vertex out of range in {xy}, {xpyp}")
+    if len({x, y, xp, yp}) != 4:
+        raise PreconditionViolated(f"edges {xy} and {xpyp} are not disjoint")
+    if not g.has_edge(x, y):
+        raise PreconditionViolated(f"{xy} is not an edge")
+    if not g.has_edge(xp, yp):
+        raise PreconditionViolated(f"{xpyp} is not an edge")
+    if g.has_edge(x, xp):
+        raise PreconditionViolated(f"({x}, {xp}) is already an edge")
+    if g.has_edge(y, yp):
+        raise PreconditionViolated(f"({y}, {yp}) is already an edge")
+    removed = {(min(x, y), max(x, y)), (min(xp, yp), max(xp, yp))}
+    added = {(min(x, xp), max(x, xp)), (min(y, yp), max(y, yp))}
+    return Graph(g.n, sorted(set(g.edges()) - removed | added))
+
+
 def all_graphs(n: int):
     """Every labeled graph on n vertices (use only for small n)."""
     pairs = list(combinations(range(n), 2))

@@ -425,20 +425,19 @@ def test_zero_entry_sequences_through_the_cli():
 
 
 def _assert_cli_forest_witnesses(seq):
-    from degseqopt import (
-        RealizationWitness, WitnessClaim, graph_from_json_obj, normalize, validate_witness,
-    )
+    from degseqopt import Graph, RealizationWitness, WitnessClaim, normalize, validate_witness
+    from degseqopt.graphs import _json_graph_parts
 
     code, obj = run_json(["realize", "forest", seq])
     assert code == EXIT_OK
-    g = graph_from_json_obj(obj)
+    g = Graph(*_json_graph_parts(obj))
     assert g.is_forest() and g.degrees == normalize(seq.split(",")).entries
 
     code, obj = run_json(["forest", "alpha-max", seq, "--witness"])
     assert code == EXIT_OK
     w = obj["witness"]
     witness = RealizationWitness(
-        graph_from_json_obj({"n": g.n, "edges": w["edges"]}),
+        Graph(*_json_graph_parts({"n": g.n, "edges": w["edges"]})),
         normalize(w["sequence"]),
         w["k"],
         frozenset(WitnessClaim(c) for c in w["claims"]),

@@ -29,7 +29,6 @@ from degseqopt import (
     normalize,
     omega_max,
     slater,
-    two_switch,
     validate_witness,
 )
 
@@ -39,6 +38,7 @@ from conftest import (
     rao_clique_feasible_positional,
     random_graph,
     random_tree,
+    two_switch,
 )
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import degseqopt
 from degseqopt import (
     Graph,
     InvalidWitness,
@@ -14,17 +15,22 @@ from degseqopt import (
     annihilation,
     degree_sequence,
     domination_number,
-    graph_from_json_obj,
     independence_number,
     normalize,
     slater,
-    two_switch,
     validate_witness,
 )
-from degseqopt.graphs import _edge_list_parts, _head_dominates, _head_independent, _tail_dominates, _tail_independent
+from degseqopt.graphs import (
+    _edge_list_parts,
+    _head_dominates,
+    _head_independent,
+    _json_graph_parts,
+    _tail_dominates,
+    _tail_independent,
+)
 from degseqopt.solvers import _masks
 
-from conftest import random_graph
+from conftest import random_graph, two_switch
 
 
 def triangle():
@@ -45,7 +51,7 @@ def test_graph_accessors():
     assert g.edges() == [(0, 1), (1, 2), (2, 3)]
     assert g.degrees == (1, 2, 2, 1)
     assert g.m == 3
-    assert g.neighbors(1) == (0, 2)
+    assert tuple(sorted(g.adjacency_sets[1])) == (0, 2)
     assert g.has_edge(2, 1) and not g.has_edge(0, 3)
     assert g.is_forest() and g.is_connected()
     assert g.connected_components() == [[0, 1, 2, 3]]
@@ -96,6 +102,28 @@ def test_two_switch_rejects_bad_requests():
     g2 = Graph(4, [(0, 1), (2, 3), (0, 2)])
     with pytest.raises(PreconditionViolated):
         two_switch(g2, (0, 1), (2, 3))  # replacement edge exists
+
+
+def test_public_surface_is_pinned():
+    # no test-only helpers among the exports, and the oracle works on
+    # bitmasks without the graph model
+    assert sorted(degseqopt.__all__) == [
+        "BipartiteDegreeSpec", "BoundChain", "DEFAULT_ORACLE_LIMITS", "DEFAULT_SOLVER_LIMIT",
+        "DegSeqOptError", "DegreeSequence", "ExtremalParameter", "ExtremalResult", "Graph",
+        "GraphClass", "Infeasible", "InvalidSequence", "InvalidWitness", "NotConnected",
+        "NotForestSequence", "NotGraphic", "OracleReport", "PreconditionViolated",
+        "RealizationWitness", "SlaterBoundReport", "TooLarge", "WitnessClaim", "WitnessReport",
+        "alpha_max", "alpha_max_forest", "annihilation", "bound_chain",
+        "build_bounded_bipartite", "check_slater_bound", "clique_number", "degree_sequence",
+        "domination_number", "enumerate_realizations", "forest_realize", "gale_ryser_feasible",
+        "gamma_min_bounded", "gamma_min_forest", "havel_hakimi_realize", "independence_number",
+        "independent_dominating_head_forest", "independent_tail_forest", "is_forest_sequence",
+        "is_graphic", "iter_degree_sequences", "normalize", "omega_max", "oracle_extrema",
+        "parse_sequence_text", "slater", "validate_witness", "witness_to_json_obj",
+    ]
+    for name in degseqopt.__all__:
+        assert getattr(degseqopt, name) is not None
+    assert not hasattr(degseqopt.oracle, "Graph")
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +238,7 @@ def test_graph_json_roundtrip():
     g = Graph(4, [(0, 1), (2, 3)])
     obj = {"n": 4, "edges": [[1, 2], [3, 4]]}
     assert {"n": g.n, "edges": [[u + 1, v + 1] for u, v in g.edges()]} == obj
-    assert graph_from_json_obj(obj) == g
+    assert Graph(*_json_graph_parts(obj)) == g
 
 
 # ---------------------------------------------------------------------------
