@@ -48,11 +48,6 @@ class BipartiteDegreeSpec:
         lr, ur, ro = _sort_side(lower_right, upper_right, "right")
         return cls(ll, ul, lr, ur, lo, ro)
 
-    @classmethod
-    def exact(cls, left_degrees, right_degrees) -> "BipartiteDegreeSpec":
-        """Spec with equal lower and upper bounds (classical exact degrees)."""
-        return cls.create(left_degrees, left_degrees, right_degrees, right_degrees)
-
     @property
     def m(self) -> int:
         return len(self.lower_left)

@@ -42,8 +42,8 @@ from .errors import (
     PreconditionViolated,
     TooLarge,
 )
-from .graphs import Graph, _edge_list_parts, _json_graph_parts, witness_to_json_obj
-from .oracle import DEFAULT_ORACLE_LIMITS, GraphClass, iter_degree_sequences, oracle_extrema
+from .graphs import Graph, _edge_list_parts, _first_bad_edge, _json_graph_parts, witness_to_json_obj
+from .oracle import DEFAULT_ORACLE_LIMITS, GraphClass, _TABLE_MAX, iter_degree_sequences, oracle_extrema
 from .realize import (
     forest_realize,
     havel_hakimi_realize,
@@ -51,7 +51,7 @@ from .realize import (
     independent_tail_forest,
 )
 from .sequences import DegreeSequence, is_forest_sequence, is_graphic, normalize, parse_sequence_text
-from .solvers import DEFAULT_SOLVER_LIMIT, _TABLE_MAX, _check_limit
+from .solvers import DEFAULT_SOLVER_LIMIT, _check_limit
 
 SCHEMA_VERSION = 1
 ORACLE_LIMIT_ENV = "DEGSEQOPT_ORACLE_LIMIT"
@@ -225,7 +225,12 @@ def _load_graph(path: str) -> Graph:
         n, edges = _edge_list_parts(text)
     # refuse before allocating: a graph costs memory in its declared n
     _check_limit(n, DEFAULT_SOLVER_LIMIT)
-    return Graph(n, edges)
+    try:
+        return Graph(n, edges)
+    except ValueError:
+        if n < 0:
+            raise
+        raise _first_bad_edge(n, edges, base=1) from None  # as the file numbers it
 
 
 def _handle_slater_bound(args: argparse.Namespace):

@@ -129,16 +129,20 @@ class Graph:
         return f"Graph(n={self.n}, edges={self.edges()})"
 
 
-def _first_bad_edge(n: int, edges: list[tuple[int, int]]) -> ValueError:
-    """The error for the first edge that is out of range, a loop or a repeat."""
+def _first_bad_edge(n: int, edges: list[tuple[int, int]], base: int = 0) -> ValueError:
+    """The error for the first edge that is out of range, a loop or a repeat.
+
+    The message numbers vertices from ``base``: 0 as the graph does, 1 as
+    the graph files do.
+    """
     seen: set[tuple[int, int]] = set()
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
-            return ValueError(f"edge ({u}, {v}) out of range for n={n}")
+            return ValueError(f"edge ({u + base}, {v + base}) out of range for n={n}")
         if u == v:
-            return ValueError(f"self-loop at vertex {u}")
+            return ValueError(f"self-loop at vertex {u + base}")
         if (min(u, v), max(u, v)) in seen:
-            return ValueError(f"duplicate edge ({u}, {v})")
+            return ValueError(f"duplicate edge ({u + base}, {v + base})")
         seen.add((min(u, v), max(u, v)))
     raise AssertionError("no bad edge in an edge list that was rejected")
 

@@ -18,22 +18,23 @@ is the sum of the leaf weights, and the extrema of the three
 The extrema are built along the enumeration tree, not solved per
 realization: once a vertex has chosen its later neighbors its row is
 final, and its closed neighborhood, its edges and its non-edges are folded
-into three 2^n-bit subset bitmaps (the solvers' table format) handed down
-the recursion.  Each realization then reads its three numbers off those
-bitmaps, which caps the oracle at n <= 14, the solvers' table range.
+into three 2^n-bit subset bitmaps handed down the recursion.  Each
+realization then reads its three numbers off those bitmaps, which caps
+the oracle at n <= 14.  The subset tables are this module's own: the
+exact solvers in ``solvers`` run branch and bound instead.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate, product
 from math import comb, prod
 from typing import Callable, Iterator
 
 from .errors import TooLarge
 from .sequences import DegreeSequence, _graphic_erdos_gallai, is_forest_sequence, is_graphic
-from .solvers import _TABLE_MAX, _largest_member, _smallest_member, _subsets_avoiding, _tables
 
 __all__ = [
     "GraphClass",
@@ -51,6 +52,65 @@ class GraphClass(enum.Enum):
 
 
 DEFAULT_ORACLE_LIMITS = {GraphClass.GENERAL: 8, GraphClass.FOREST: 9}
+_TABLE_MAX = 14  # subset tables are 2^n-bit integers: 2^14 bits at most
+
+
+@lru_cache(maxsize=None)
+def _tables(n: int):
+    """Shared bitmap helpers for subset tables of width 2^n.
+
+    Bit s of a table stands for the vertex subset with index s.  ALLOW[b]
+    marks the subset indices whose bit b is clear; BY_SIZE[c] marks the
+    indices of popcount c; FULL is the all-ones bitmap.
+    """
+    width = 1 << n
+    allow = []
+    for b in range(n):
+        unit = (1 << (1 << b)) - 1
+        m = unit
+        span = 1 << (b + 1)
+        while span < width:
+            m |= m << span
+            span <<= 1
+        allow.append(m & ((1 << width) - 1))
+    by_size = [1]
+    for v in range(n):
+        shift = 1 << v
+        new = [0] * (v + 2)
+        for c in range(v + 1):
+            new[c] |= by_size[c]
+            new[c + 1] |= by_size[c] << shift
+        by_size = new
+    full = (1 << width) - 1
+    return allow, tuple(by_size), full
+
+
+def _subsets_avoiding(bits: int, allow: list[int], full: int) -> int:
+    """Bitmap of subset indices disjoint from ``bits``."""
+    out = full
+    while bits:
+        lb = bits & -bits
+        out &= allow[lb.bit_length() - 1]
+        bits ^= lb
+    return out
+
+
+def _smallest_member(bitmap: int, n: int) -> int:
+    """Size of the smallest subset marked in a non-empty ``bitmap``."""
+    _, by_size, _ = _tables(n)
+    for c in range(n + 1):
+        if bitmap & by_size[c]:
+            return c
+    raise AssertionError("bitmap is empty")
+
+
+def _largest_member(bitmap: int, n: int) -> int:
+    """Size of the largest subset marked in a non-empty ``bitmap``."""
+    _, by_size, _ = _tables(n)
+    for c in range(n, -1, -1):
+        if bitmap & by_size[c]:
+            return c
+    raise AssertionError("bitmap is empty")
 
 
 @dataclass(frozen=True)
@@ -241,7 +301,7 @@ def oracle_extrema(
     numbers are those of every graph it stands for, and
     ``realization_count`` is the weighted count, equal to the number of
     labeled realizations.  The
-    tables need n <= 14 (``solvers._TABLE_MAX``), so a longer sequence
+    tables need n <= 14 (``_TABLE_MAX``), so a longer sequence
     raises ``TooLarge`` before any enumeration, whatever ``limit`` says.
     """
     n = d.n
@@ -278,9 +338,9 @@ def oracle_extrema(
     def visit(masks: list[int], state: tuple[int, int, int]) -> None:
         dom, nonind, noncl = state
         seen.add((
-            _smallest_member(dom, n)[0],
-            _largest_member(full ^ nonind, n)[0],
-            _largest_member(full ^ noncl, n)[0],
+            _smallest_member(dom, n),
+            _largest_member(full ^ nonind, n),
+            _largest_member(full ^ noncl, n),
         ))
 
     count = enumerate_realizations(d, graph_class, limit, visit=visit, fold=fold,

@@ -109,13 +109,6 @@ class DegreeSequence:
             return None
         return DegreeSequence(self.entries[:p], tuple(range(p)))
 
-    def to_input_order(self) -> list[int]:
-        """Reconstruct the raw input the sequence was normalized from."""
-        out = [0] * self.n
-        for i, pos in enumerate(self.original_order):
-            out[pos] = self.entries[i]
-        return out
-
     def __len__(self) -> int:
         return self.n
 

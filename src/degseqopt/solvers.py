@@ -1,30 +1,23 @@
 """Exact solvers for domination, independence, and clique numbers.
 
-Two engines sit behind one interface:
+One branch and bound engine per invariant, run on each connected
+component (gamma and alpha are additive over components; omega is solved
+as alpha of the complement):
 
-* subset tables for small vertex counts: one big-integer bitmap over all
-  2^n vertex subsets marks the dominating (resp. independent) ones, built
-  with n shift-and-mask doubling steps;
-* branch and bound beyond the table range: minimum set cover over closed
-  neighborhoods for domination, and a clique-cover-bounded search for
-  independence.  The domination search prunes on two lower bounds (a
-  greedy distance-3 packing of uncovered vertices, and the uncovered count
-  over the largest gain) and skips a coverer whose gain lies inside the
-  gain of one it keeps: set-cover reductions of exact dominating-set
-  algorithms (van Rooij and Bodlaender, 2011).
+* domination: minimum set cover over closed neighborhoods.  The search
+  prunes on two lower bounds (a greedy distance-3 packing of uncovered
+  vertices, and the uncovered count over the largest gain) and skips a
+  coverer whose gain lies inside the gain of one it keeps: set-cover
+  reductions of exact dominating-set algorithms (van Rooij and
+  Bodlaender, 2011);
+* independence: a search bounded by a greedy clique cover.
 
 Both work on per-vertex neighbor bitmasks, a format private to this
-module: the public solvers convert a ``Graph`` once.  The oracle builds
-its own subset tables row by row with this module's table helpers
-(``_tables``, ``_subsets_avoiding``, ``_smallest_member``,
-``_largest_member``).  Graphs beyond the table range are split into
-connected components first (gamma and alpha are additive over components;
-omega is solved as alpha of the complement).  Both engines are exact.
+module: the public solvers convert a ``Graph`` once.  The oracle reads
+its numbers off subset tables of its own and does not call these.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 from .errors import TooLarge
 from .graphs import Graph
@@ -37,82 +30,6 @@ __all__ = [
 ]
 
 DEFAULT_SOLVER_LIMIT = 32
-_TABLE_MAX = 14  # 2^14-bit bitmaps; beyond this branch and bound takes over
-
-
-@lru_cache(maxsize=None)
-def _tables(n: int):
-    """Shared bitmap helpers for subset tables of width 2^n.
-
-    ALLOW[b] marks the subset indices whose bit b is clear; BY_SIZE[c]
-    marks the indices of popcount c; FULL is the all-ones bitmap.
-    """
-    width = 1 << n
-    allow = []
-    for b in range(n):
-        unit = (1 << (1 << b)) - 1
-        m = unit
-        span = 1 << (b + 1)
-        while span < width:
-            m |= m << span
-            span <<= 1
-        allow.append(m & ((1 << width) - 1))
-    by_size = [1]
-    for v in range(n):
-        shift = 1 << v
-        new = [0] * (v + 2)
-        for c in range(v + 1):
-            new[c] |= by_size[c]
-            new[c + 1] |= by_size[c] << shift
-        by_size = new
-    full = (1 << width) - 1
-    return allow, tuple(by_size), full
-
-
-def _subsets_avoiding(bits: int, allow: list[int], full: int) -> int:
-    """Bitmap of subset indices disjoint from ``bits``."""
-    out = full
-    while bits:
-        lb = bits & -bits
-        out &= allow[lb.bit_length() - 1]
-        bits ^= lb
-    return out
-
-
-def _dominating_bitmap(masks: tuple[int, ...], n: int) -> int:
-    allow, _, full = _tables(n)
-    dom = full
-    for u in range(n):
-        cn = masks[u] | (1 << u)
-        dom &= full ^ _subsets_avoiding(cn, allow, full)
-    return dom
-
-
-def _independent_bitmap(masks: tuple[int, ...], n: int) -> int:
-    allow, _, full = _tables(n)
-    ind = 1
-    for v in range(n):
-        lower = masks[v] & ((1 << v) - 1)
-        ind |= (ind & _subsets_avoiding(lower, allow, full)) << (1 << v)
-    return ind
-
-
-def _smallest_member(bitmap: int, n: int) -> tuple[int, int]:
-    _, by_size, _ = _tables(n)
-    for c in range(n + 1):
-        hit = bitmap & by_size[c]
-        if hit:
-            return c, (hit & -hit).bit_length() - 1
-    raise AssertionError("bitmap is empty")
-
-
-def _largest_member(bitmap: int, n: int) -> tuple[int, int]:
-    _, by_size, _ = _tables(n)
-    for c in range(n, -1, -1):
-        hit = bitmap & by_size[c]
-        if hit:
-            return c, (hit & -hit).bit_length() - 1
-    raise AssertionError("bitmap is empty")
 
 
 def _bits(mask: int):
@@ -120,16 +37,6 @@ def _bits(mask: int):
         lb = mask & -mask
         yield lb.bit_length() - 1
         mask ^= lb
-
-
-def _gamma_table(masks: tuple[int, ...], n: int) -> tuple[int, set[int]]:
-    size, subset = _smallest_member(_dominating_bitmap(masks, n), n)
-    return size, set(_bits(subset))
-
-
-def _alpha_table(masks: tuple[int, ...], n: int) -> tuple[int, set[int]]:
-    size, subset = _largest_member(_independent_bitmap(masks, n), n)
-    return size, set(_bits(subset))
 
 
 def _gamma_branch_bound(masks: tuple[int, ...], n: int) -> tuple[int, set[int]]:
@@ -269,20 +176,17 @@ def _components(masks: tuple[int, ...]) -> list[list[int]]:
     return comps
 
 
-def _solve(masks: tuple[int, ...], table, branch_bound) -> tuple[int, set[int]]:
-    """Table up to ``_TABLE_MAX`` vertices; beyond, each component on its own."""
-    n = len(masks)
-    if n <= _TABLE_MAX:
-        return table(masks, n)
+def _solve(masks: tuple[int, ...], branch_bound) -> tuple[int, set[int]]:
+    """``branch_bound`` on each connected component; the sizes add up."""
     comps = _components(masks)
     if len(comps) == 1:
-        return branch_bound(masks, n)
+        return branch_bound(masks, len(masks))
     total = 0
     chosen: set[int] = set()
     for comp in comps:
         index = {v: i for i, v in enumerate(comp)}
         local = tuple(sum(1 << index[w] for w in _bits(masks[v])) for v in comp)
-        size, picked = _solve(local, table, branch_bound)
+        size, picked = branch_bound(local, len(comp))
         total += size
         chosen.update(comp[i] for i in picked)
     return total, chosen
@@ -296,14 +200,14 @@ def _check_limit(n: int, limit: int) -> None:
 def domination_number(g: Graph, limit: int = DEFAULT_SOLVER_LIMIT) -> tuple[int, frozenset[int]]:
     """Exact domination number of ``g`` plus one minimum dominating set."""
     _check_limit(g.n, limit)
-    size, chosen = _solve(_masks(g), _gamma_table, _gamma_branch_bound)
+    size, chosen = _solve(_masks(g), _gamma_branch_bound)
     return size, frozenset(chosen)
 
 
 def independence_number(g: Graph, limit: int = DEFAULT_SOLVER_LIMIT) -> tuple[int, frozenset[int]]:
     """Exact independence number of ``g`` plus one maximum independent set."""
     _check_limit(g.n, limit)
-    size, chosen = _solve(_masks(g), _alpha_table, _alpha_branch_bound)
+    size, chosen = _solve(_masks(g), _alpha_branch_bound)
     return size, frozenset(chosen)
 
 
@@ -312,4 +216,4 @@ def clique_number(g: Graph, limit: int = DEFAULT_SOLVER_LIMIT) -> int:
     _check_limit(g.n, limit)
     full = (1 << g.n) - 1
     complement = tuple(full ^ m ^ (1 << v) for v, m in enumerate(_masks(g)))
-    return _solve(complement, _alpha_table, _alpha_branch_bound)[0]
+    return _solve(complement, _alpha_branch_bound)[0]

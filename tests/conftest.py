@@ -61,6 +61,29 @@ def naive_clique(g: Graph) -> int:
     return 0
 
 
+def subset_table_reference(masks: tuple[int, ...], n: int) -> tuple[int, int, int]:
+    """(gamma, alpha, omega) of the graph with neighbor bitmasks ``masks``,
+    read off tables over all 2^n vertex subsets (use only for n <= 14).
+
+    Index s + 2^v stands for s plus a vertex v above all of s: its closed
+    neighborhood gains N[v], it stays independent when v has no neighbor in
+    s, and it stays a clique when v is adjacent to all of s.
+    """
+    full = (1 << n) - 1
+    cover, independent, clique = [0], [True], [True]
+    for v in range(n):
+        low = range(1 << v)
+        cover += [c | masks[v] | 1 << v for c in cover]
+        independent += [ok and not masks[v] & s for s, ok in zip(low, independent)]
+        clique += [ok and masks[v] & s == s for s, ok in zip(low, clique)]
+    sizes = list(map(int.bit_count, range(1 << n)))
+    return (
+        min(sizes[s] for s in range(1 << n) if cover[s] == full),
+        max(sizes[s] for s in range(1 << n) if independent[s]),
+        max(sizes[s] for s in range(1 << n) if clique[s]),
+    )
+
+
 # ---------------------------------------------------------------------------
 # independent sequence-level references
 

@@ -21,7 +21,7 @@ def audit(spec, g):
 
 
 def test_perfect_matching_spec_feasible():
-    spec = BipartiteDegreeSpec.exact([1, 1], [1, 1])
+    spec = BipartiteDegreeSpec.create([1, 1], [1, 1], [1, 1], [1, 1])
     assert gale_ryser_feasible(spec)
     g = build_bounded_bipartite(spec)
     assert g.m == 2
@@ -30,14 +30,14 @@ def test_perfect_matching_spec_feasible():
 
 def test_overloaded_spec_infeasible():
     # k=2 on the left: 4 > min(2,1) + min(2,1)
-    spec = BipartiteDegreeSpec.exact([2, 2], [1, 1])
+    spec = BipartiteDegreeSpec.create([2, 2], [2, 2], [1, 1], [1, 1])
     assert not gale_ryser_feasible(spec)
     with pytest.raises(Infeasible):
         build_bounded_bipartite(spec)
 
 
 def test_complete_bipartite_spec():
-    spec = BipartiteDegreeSpec.exact([3, 3], [2, 2, 2])
+    spec = BipartiteDegreeSpec.create([3, 3], [3, 3], [2, 2, 2], [2, 2, 2])
     assert gale_ryser_feasible(spec)
     g = build_bounded_bipartite(spec)
     assert g.m == 6
@@ -115,7 +115,7 @@ def test_exact_specs_cross_checked_against_bipartite_havel_hakimi():
         n = rng.randint(1, 5)
         left = sorted((rng.randint(0, n) for _ in range(m)), reverse=True)
         right = sorted((rng.randint(0, m) for _ in range(n)), reverse=True)
-        spec = BipartiteDegreeSpec.exact(left, right)
+        spec = BipartiteDegreeSpec.create(left, left, right, right)
         expected = bipartite_exact_hh(left, right)
         assert gale_ryser_feasible(spec) == expected, (left, right)
         if expected:
@@ -144,7 +144,7 @@ def test_exact_specs_up_to_60_vertices_match_bipartite_havel_hakimi():
                     if rng.random() < p:
                         left[i] += 1
                         right[j] += 1
-        spec = BipartiteDegreeSpec.exact(left, right)
+        spec = BipartiteDegreeSpec.create(left, left, right, right)
         expected = bipartite_exact_hh(left, right)
         assert gale_ryser_feasible(spec) == expected, (left, right)
         if expected:

@@ -386,6 +386,26 @@ def test_slater_bound_rejects_malformed_json_graphs(tmp_path, text):
     assert code == EXIT_PARSE and out.startswith("error: graph JSON ")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("3 2\n0 1\n2 3\n", "edge (0, 1) out of range for n=3"),
+    ("3 1\n1 4\n", "edge (1, 4) out of range for n=3"),
+    ("1 1\n1 1\n", "self-loop at vertex 1"),
+    ("3 2\n1 2\n2 1\n", "duplicate edge (2, 1)"),
+    ('{"n": 3, "edges": [[2, 4]]}', "edge (2, 4) out of range for n=3"),
+    ('{"n": 3, "edges": [[0, 1]]}', "edge (0, 1) out of range for n=3"),
+    ('{"n": 3, "edges": [[1, 2], [3, 3]]}', "self-loop at vertex 3"),
+    ('{"n": 3, "edges": [[1, 2], [2, 3], [2, 1]]}', "duplicate edge (2, 1)"),
+])
+def test_slater_bound_names_a_bad_edge_as_the_file_writes_it(tmp_path, text, message):
+    # graph files number vertices from 1, and so do their error messages
+    f = tmp_path / "g"
+    f.write_text(text)
+    assert run_argv(["slater-bound", "--graph", str(f)]) == (EXIT_PARSE, f"error: {message}")
+    code, obj = run_json(["slater-bound", "--graph", str(f)])
+    assert code == EXIT_PARSE
+    assert obj["error"] == {"type": "ValueError", "message": message}
+
+
 @pytest.mark.parametrize("text", ['{"n": 1000000, "edges": []}', "1000000 0\n"])
 def test_slater_bound_refuses_a_huge_declared_n_in_little_memory(tmp_path, text):
     import tracemalloc

@@ -124,6 +124,12 @@ def test_public_surface_is_pinned():
     for name in degseqopt.__all__:
         assert getattr(degseqopt, name) is not None
     assert not hasattr(degseqopt.oracle, "Graph")
+    # the subset tables are the oracle's own: it takes nothing from the
+    # solvers, and the solvers keep no table engine
+    assert not [name for name, value in vars(degseqopt.oracle).items()
+                if getattr(value, "__module__", None) == "degseqopt.solvers"]
+    assert not hasattr(degseqopt.solvers, "_tables")
+    assert not hasattr(degseqopt.solvers, "_TABLE_MAX")
 
 
 # ---------------------------------------------------------------------------

@@ -55,7 +55,11 @@ def test_normalize_idempotent_and_sum_preserving(raw):
     again = normalize(list(d.entries))
     assert again.entries == d.entries
     assert sum(d.entries) == sum(raw)
-    assert d.to_input_order() == raw
+    # entries[i] came from position original_order[i] of the raw input
+    rebuilt = [0] * d.n
+    for entry, pos in zip(d.entries, d.original_order):
+        rebuilt[pos] = entry
+    assert rebuilt == raw
 
 
 @given(raw_sequences)

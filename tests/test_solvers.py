@@ -3,7 +3,7 @@ import random
 import pytest
 
 from degseqopt import Graph, TooLarge, clique_number, domination_number, independence_number
-from degseqopt.solvers import _alpha_branch_bound, _gamma_branch_bound, _gamma_table, _masks
+from degseqopt.solvers import _alpha_branch_bound, _gamma_branch_bound, _masks
 
 from conftest import (
     gamma_branch_bound_reference,
@@ -14,6 +14,7 @@ from conftest import (
     random_connected_gnp,
     random_graph,
     search_tree_shape,
+    subset_table_reference,
 )
 
 
@@ -116,8 +117,10 @@ def test_branch_and_bound_agrees_with_tables():
         n = rng.randint(2, 12)
         g = random_graph(rng, n, rng.uniform(0.1, 0.9))
         masks = _masks(g)
-        assert _gamma_branch_bound(masks, n)[0] == domination_number(g)[0]
-        assert _alpha_branch_bound(masks, n)[0] == independence_number(g)[0]
+        gamma, alpha, omega = subset_table_reference(masks, n)
+        assert _gamma_branch_bound(masks, n)[0] == gamma == domination_number(g)[0]
+        assert _alpha_branch_bound(masks, n)[0] == alpha == independence_number(g)[0]
+        assert clique_number(g) == omega
 
 
 @pytest.mark.parametrize(
@@ -130,7 +133,7 @@ def test_branch_and_bound_agrees_with_tables():
     ],
 )
 def test_large_structured_graphs_use_branch_and_bound(graph, gamma, alpha):
-    # n > table threshold, single component: exercises the search engines
+    # one component of 17..20 vertices: goes straight to the search engines
     assert domination_number(graph)[0] == gamma
     assert independence_number(graph)[0] == alpha
 
@@ -194,7 +197,7 @@ def test_gamma_branch_bound_matches_tables():
         n = rng.randint(1, 14)
         masks = _masks(grown_graph(rng, n))
         size, chosen = _gamma_branch_bound(masks, n)
-        assert size == _gamma_table(masks, n)[0]
+        assert size == subset_table_reference(masks, n)[0]
         assert len(chosen) == size and dominates(masks, chosen)
 
 
