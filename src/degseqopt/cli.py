@@ -10,10 +10,9 @@ flag set.  An empty or missing standard input exits 1.
 Each subparser binds its handler and the JSON ``command`` name with
 ``set_defaults``; ``run`` calls the handler on the parsed arguments and
 maps its exceptions to exit codes.  The oracle size limit of ``oracle``
-and ``sweep`` is ``--limit`` if given, else ``DEGSEQOPT_ORACLE_LIMIT``,
-else 8 (general) / 9 (forest), and never reaches past 14 vertices; a
-malformed ``DEGSEQOPT_ORACLE_LIMIT``, a limit below 1 from either
-source, or a negative ``--delta-cap`` exits 1 with a message on stderr.
+and ``sweep`` is ``--limit`` if given, else 8 (general) / 9 (forest), and
+never reaches past 14 vertices; a ``--limit`` below 1 or a negative
+``--delta-cap`` exits 1 with a message on stderr.
 A name repeated in ``sweep --params`` is checked and reported once.
 
 Exit codes: 0 success, 1 parse/usage errors, 2 domain precondition
@@ -54,7 +53,6 @@ from .sequences import DegreeSequence, is_forest_sequence, is_graphic, normalize
 from .solvers import DEFAULT_SOLVER_LIMIT, _check_limit
 
 SCHEMA_VERSION = 1
-ORACLE_LIMIT_ENV = "DEGSEQOPT_ORACLE_LIMIT"
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -465,29 +463,13 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _default_oracle_limit() -> int | None:
-    raw = os.environ.get(ORACLE_LIMIT_ENV)
-    if raw is None:
-        return None
-    try:
-        limit = int(raw)
-    except ValueError as exc:
-        raise CliParseError(f"bad {ORACLE_LIMIT_ENV}={raw!r}") from exc
-    if limit < 1:
-        raise CliParseError(f"bad {ORACLE_LIMIT_ENV}={raw!r}: the limit must be at least 1")
-    return limit
-
-
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if "limit" in args:
-            if args.limit is None:
-                args.limit = _default_oracle_limit()
-            elif args.limit < 1:
-                raise CliParseError(f"argument --limit: must be at least 1, got {args.limit}")
+        if getattr(args, "limit", None) is not None and args.limit < 1:
+            raise CliParseError(f"argument --limit: must be at least 1, got {args.limit}")
         if getattr(args, "delta_cap", None) is not None and args.delta_cap < 0:
             raise CliParseError(
                 f"argument --delta-cap: must be at least 0, got {args.delta_cap}"

@@ -7,11 +7,12 @@ Computes, for a graphic sequence d:
   over k by galloping down from the top and bisecting (feasibility is
   monotone in k);
 * gamma_min(d): the smallest domination number of any realization, by
-  scanning split sizes k upward from the Slater number and, for each k,
-  the cross-edge totals upward: for each total, the cross-degree profiles
-  (bounded by the maximum degree) with that sum are enumerated and tested
-  for whether the head part, tail part, and connecting bipartite graph all
-  exist;
+  scanning split sizes k upward from the Slater number to p // 2, p the
+  number of positive entries (Ore: gamma <= n/2 without isolated
+  vertices), and, for each k, the cross-edge totals upward: for each
+  total, the cross-degree profiles (bounded by the maximum degree) with
+  that sum are enumerated and tested for whether the head part, tail
+  part, and connecting bipartite graph all exist;
 * gamma_min_forest(d), alpha_max_forest(d): closed formulas over forest
   realizations, with constructive witnesses attached;
 * the domination bound check gamma(G) <= 3*slater + 2*(cycle excess) - 2
@@ -24,11 +25,11 @@ any minimum dominating set and one to any maximum independent set.
 from __future__ import annotations
 
 import enum
-import warnings
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, repeat
+from operator import sub
 
 from .bipartite import _greedy_edges, _overflow
 from .errors import NotConnected, NotForestSequence, NotGraphic, PreconditionViolated
@@ -233,11 +234,12 @@ def _profile_room(caps: list[int]) -> list[list[int]]:
 
     pm is the prefix minimum of ``caps``.  One suffix-sum list per value,
     each from C-level passes; built once per side and split, and shared by
-    every total the scan asks ``_profiles_with_sum`` for.
+    every total the scan asks ``_profiles_with_sum`` for.  Needs at least
+    one cap.
     """
     pm = list(accumulate(caps, min))
     room = []
-    for v in range(pm[0] + 1 if pm else 1):
+    for v in range(pm[0] + 1):
         row = list(accumulate(map(min, repeat(v), reversed(pm)), initial=0))
         row.reverse()
         room.append(row)
@@ -252,14 +254,11 @@ def _profiles_with_sum(caps: list[int], room: list[list[int]], total: int):
     while the positions after it can still take the rest of the sum: at
     least one each, and at most room[v][i + 1], the sum of min(v, pm[j])
     over j > i, from ``room = _profile_room(caps)``.  Every branch entered
-    therefore yields a profile.
+    therefore yields a profile.  Needs at least one cap.
     """
     n = len(caps)
-    top = len(room) - 1  # pm[0], or 0 for no caps
+    top = len(room) - 1  # pm[0]
     if not n <= total <= room[top][0]:
-        return
-    if not n:
-        yield ()
         return
     seq: list[int] = []
     rest, v = total, min(top, total - n + 1)
@@ -291,31 +290,29 @@ def _split_feasible(pos: DegreeSequence, k: int):
     interval [len, sum of prefix-minimum caps] (lowering the last entry
     above 1 steps down by one), so the scan walks the common totals in
     increasing order and enumerates only the profiles of the current one.
+    Needs 1 <= k <= p/2, so both sides are non-empty and the tail, of
+    length p - k, is the longer.
     """
     p = pos.n
-    if k == p:
-        return "whole"
-    head_caps = [min(pos.entries[i], p - k) for i in range(k)]
-    tail_caps = [min(pos.entries[k + j], k) for j in range(p - k)]
+    head, tail = pos.entries[:k], pos.entries[k:]
+    head_caps = [min(x, p - k) for x in head]
+    tail_caps = [min(x, k) for x in tail]
     head_room, tail_room = _profile_room(head_caps), _profile_room(tail_caps)
-    top = min(head_room[-1][0], tail_room[-1][0])  # the sums of prefix-minimum caps
-    for total in range(max(k, p - k), top + 1):
-        lefts = [
-            L
-            for L in _profiles_with_sum(head_caps, head_room, total)
-            if _graphic_cached(
-                tuple(sorted((pos.entries[i] - L[i] for i in range(k)), reverse=True))
-            )
+
+    def workable(side, caps, room, total):
+        # the side's profiles of this total that leave a graphic remainder
+        return [
+            P
+            for P in _profiles_with_sum(caps, room, total)
+            if _graphic_cached(tuple(sorted(map(sub, side, P), reverse=True)))
         ]
+
+    top = min(head_room[-1][0], tail_room[-1][0])  # the sums of prefix-minimum caps
+    for total in range(p - k, top + 1):
+        lefts = workable(head, head_caps, head_room, total)
         if not lefts:
             continue
-        rights = [
-            R
-            for R in _profiles_with_sum(tail_caps, tail_room, total)
-            if _graphic_cached(
-                tuple(sorted((pos.entries[k + j] - R[j] for j in range(p - k)), reverse=True))
-            )
-        ]
+        rights = workable(tail, tail_caps, tail_room, total)
         for L in lefts:
             for R in rights:
                 if not _overflow(R, L):
@@ -336,13 +333,15 @@ def _assemble_split_witness(pos, k, head_profile, tail_profile) -> RealizationWi
 def gamma_min_bounded(d: DegreeSequence, delta_cap: int | None = None) -> ExtremalResult:
     """Smallest domination number among all realizations of ``d``.
 
-    Scans split sizes k upward from the Slater number.  For each k it walks
-    the cross-edge totals upward and enumerates only the head and tail
-    profiles of the current total, so a feasible split stops at its first
-    workable total.  Only an infeasible split visits every total, and with
-    it every profile of both sides, whose number grows quickly with the
-    maximum degree; passing ``delta_cap`` rejects sequences whose maximum
-    entry exceeds it.
+    Scans split sizes k upward from the Slater number to p // 2, p the
+    number of positive entries: by Ore's theorem every graph without
+    isolated vertices has gamma <= n/2, so the first feasible k comes by
+    then.  For each k it walks the cross-edge totals upward and
+    enumerates only the head and tail profiles of the current total, so a
+    feasible split stops at its first workable total.  Only an infeasible
+    split visits every total, and with it every profile of both sides,
+    whose number grows quickly with the maximum degree; passing
+    ``delta_cap`` rejects sequences whose maximum entry exceeds it.
     """
     if not is_graphic(d):
         raise NotGraphic(f"{d.entries} is not graphic")
@@ -350,35 +349,21 @@ def gamma_min_bounded(d: DegreeSequence, delta_cap: int | None = None) -> Extrem
         raise PreconditionViolated(
             f"maximum entry {d.max_entry} exceeds delta cap {delta_cap}"
         )
-    if d.max_entry > 4 and d.n >= 40:
-        warnings.warn(
-            f"profile scan over degree bound {d.max_entry} at n={d.n} may be very slow",
-            RuntimeWarning,
-            stacklevel=2,
-        )
     chain = bound_chain(d)
     pos = d.positive_part()
     if pos is None:
         return ExtremalResult(ExtremalParameter.GAMMA_MIN, d.n, chain)
-    for k in range(slater(pos), pos.n + 1):
+    for k in range(slater(pos), pos.n // 2 + 1):
         found = _split_feasible(pos, k)
-        if found is None:
-            continue
-        if found == "whole":
-            graph = Graph(pos.n, _hh_edges(pos.entries))
-            witness = RealizationWitness.checked(
-                graph, pos, pos.n, {WitnessClaim.HEAD_DOMINATING}
+        if found is not None:
+            return ExtremalResult(
+                ExtremalParameter.GAMMA_MIN,
+                k + d.n0,
+                chain,
+                achieving_k=k,
+                witness=_assemble_split_witness(pos, k, *found),
             )
-        else:
-            witness = _assemble_split_witness(pos, k, *found)
-        return ExtremalResult(
-            ExtremalParameter.GAMMA_MIN,
-            k + d.n0,
-            chain,
-            achieving_k=k,
-            witness=witness,
-        )
-    raise AssertionError("k = n is always feasible")
+    raise AssertionError("Ore's bound: some k <= p/2 is always feasible")
 
 
 # ---------------------------------------------------------------------------

@@ -109,15 +109,6 @@ class DegreeSequence:
             return None
         return DegreeSequence(self.entries[:p], tuple(range(p)))
 
-    def __len__(self) -> int:
-        return self.n
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __getitem__(self, i):
-        return self.entries[i]
-
 
 def normalize(raw: Iterable[int]) -> DegreeSequence:
     """Sort a raw list of degrees non-increasing, recording the permutation.

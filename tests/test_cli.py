@@ -156,7 +156,6 @@ def test_readme_examples_print_their_golden_output(argv, stdout, tmp_path, monke
     # the README's command-line examples, byte for byte; graph.txt is a 5-cycle
     (tmp_path / "graph.txt").write_text("5 5\n1 2\n2 3\n3 4\n4 5\n5 1\n")
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("DEGSEQOPT_ORACLE_LIMIT", raising=False)
     assert main(argv) == EXIT_OK
     assert capsys.readouterr().out == stdout
 
@@ -251,39 +250,40 @@ def test_cli_subprocess_identical_bytes():
     assert first.stdout == second.stdout
 
 
+def test_gamma_min_on_a_fast_large_degree_input_writes_nothing_to_stderr():
+    proc = run_cli_process(["gamma-min", ",".join(["5"] + ["1"] * 39)])
+    assert proc.returncode == EXIT_OK
+    assert proc.stdout == "gamma_min=18 k=18\n"
+    assert proc.stderr == ""
+
+
 def test_oracle_limit_env_var():
-    proc = run_cli_process(
-        ["sweep", "--n-max", "6"], env={"DEGSEQOPT_ORACLE_LIMIT": "5"}
-    )
+    proc = run_cli_process(["sweep", "--n-max", "6", "--limit", "5"])
     assert proc.returncode == EXIT_PARSE
 
-    proc = run_cli_process(
-        ["oracle", "1,1,1,1,1,1"], env={"DEGSEQOPT_ORACLE_LIMIT": "5"}
-    )
+    proc = run_cli_process(["oracle", "1,1,1,1,1,1", "--limit", "5"])
     assert proc.returncode == EXIT_PRECONDITION
+
+
+def test_oracle_limit_ignores_the_environment():
+    # --limit is the only source of the limit; the environment is not read
+    proc = run_cli_process(["oracle", "1,1,1,1,1,1"], env={"DEGSEQOPT_ORACLE_LIMIT": "5"})
+    assert proc.returncode == EXIT_OK, proc.stdout + proc.stderr
 
 
 def test_oracle_beyond_the_subset_tables_exits_2_whatever_the_limit():
     seq = ",".join(["1"] * 2 + ["0"] * 13)
-    for args, env in ((["--limit", "20"], None), ([], {"DEGSEQOPT_ORACLE_LIMIT": "20"})):
-        proc = run_cli_process(["oracle", seq, *args], env=env)
-        assert proc.returncode == EXIT_PRECONDITION
-        assert proc.stdout == "error: n=15 exceeds the oracle's subset-table limit 14\n"
+    proc = run_cli_process(["oracle", seq, "--limit", "20"])
+    assert proc.returncode == EXIT_PRECONDITION
+    assert proc.stdout == "error: n=15 exceeds the oracle's subset-table limit 14\n"
 
 
 @pytest.mark.parametrize("command", [["oracle", "1,1"], ["sweep", "--n-max", "3"]])
-@pytest.mark.parametrize("source", ["option", "env"])
-@pytest.mark.parametrize("value", ["0", "-5"])
+# the ids keep the names these cases have always had
+@pytest.mark.parametrize("value", ["0", "-5"], ids=["0-option", "-5-option"])
 @pytest.mark.parametrize("json_flag", [[], ["--json"]])
-def test_oracle_limit_below_one_is_a_usage_error(command, source, value, json_flag,
-                                                 monkeypatch, capsys):
-    argv = command + json_flag
-    if source == "option":
-        monkeypatch.delenv("DEGSEQOPT_ORACLE_LIMIT", raising=False)
-        argv += ["--limit", value]
-    else:
-        monkeypatch.setenv("DEGSEQOPT_ORACLE_LIMIT", value)
-    assert main(argv) == EXIT_PARSE
+def test_oracle_limit_below_one_is_a_usage_error(command, value, json_flag, capsys):
+    assert main(command + json_flag + ["--limit", value]) == EXIT_PARSE
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ") and value in err

@@ -166,8 +166,10 @@ def test_gamma_min_delta_cap_guard():
 
 
 def test_gamma_min_runtime_warning_for_large_degree_and_order():
+    # a large degree at n >= 40 answers at once and warns about nothing
     seq = [5] + [1] * 39
-    with pytest.warns(RuntimeWarning):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         result = gamma_min_bounded(normalize(seq))
     assert result.value == slater(normalize(seq)) == 18
 
@@ -230,13 +232,35 @@ def test_gamma_min_bounded_near_uniform_delta5_n100():
             entries[i] += 1
             entries[j] -= 1
     d = normalize(entries)
-    with pytest.warns(RuntimeWarning):
-        res = gamma_min_bounded(d)
+    res = gamma_min_bounded(d)
     assert validate_witness(res.witness).ok
     pos = d.positive_part()
     assert _split_feasible(pos, res.achieving_k) is not None
     for k in range(slater(pos), res.achieving_k):
         assert _split_feasible(pos, k) is None
+
+
+def test_gamma_min_split_never_passes_half_the_positive_entries():
+    # Ore: a graph without isolated vertices has gamma <= n/2, so the scan
+    # stops by p // 2
+    cases = [
+        normalize(seq)
+        for n in range(1, 9)
+        for seq in iter_degree_sequences(n)
+        if is_graphic(normalize(seq))
+    ]
+    rng = random.Random(16)
+    drawn = 0
+    while drawn < 1000:
+        d = normalize([rng.randint(0, 6) for _ in range(rng.randint(10, 60))])
+        if is_graphic(d):
+            cases.append(d)
+            drawn += 1
+    for d in cases:
+        res = gamma_min_bounded(d)
+        p = d.positive_count
+        if p:
+            assert res.achieving_k <= p // 2, d.entries
 
 
 def test_gamma_min_bounded_on_3000_vertices_with_degrees_1_to_3():
