@@ -41,7 +41,14 @@ from .errors import (
     PreconditionViolated,
     TooLarge,
 )
-from .graphs import Graph, _edge_list_parts, _first_bad_edge, _json_graph_parts, witness_to_json_obj
+from .graphs import (
+    Graph,
+    _edge_list_parts,
+    _first_bad_edge,
+    _json_graph_parts,
+    _one_based_edges,
+    witness_to_json_obj,
+)
 from .oracle import DEFAULT_ORACLE_LIMITS, GraphClass, _TABLE_MAX, iter_degree_sequences, oracle_extrema
 from .realize import (
     forest_realize,
@@ -180,7 +187,7 @@ def _handle_realize(args: argparse.Namespace):
         )
         return payload, text, EXIT_OK
     graph = havel_hakimi_realize(d) if variant == "hh" else forest_realize(d)
-    edges = [[u + 1, v + 1] for u, v in graph.edges()]
+    edges = _one_based_edges(graph)
     payload = {
         "variant": variant,
         "n": graph.n,

@@ -327,7 +327,7 @@ def _assemble_split_witness(pos, k, head_profile, tail_profile) -> RealizationWi
     edges += [(k + a, k + b) for a, b in tail]
     edges += [(i, k + j) for i, j in _greedy_edges(head_profile, tail_profile)]
     claims = {WitnessClaim.HEAD_DOMINATING, WitnessClaim.TAIL_DOMINATING}
-    return RealizationWitness.checked(Graph(p, sorted(edges)), pos, k, claims)
+    return RealizationWitness.checked(Graph(p, edges), pos, k, claims)
 
 
 def gamma_min_bounded(d: DegreeSequence, delta_cap: int | None = None) -> ExtremalResult:

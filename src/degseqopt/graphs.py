@@ -1,20 +1,32 @@
 """Labeled simple-graph model and re-checkable witnesses.
 
 Vertices are 0-based internally (``u_1`` in reports corresponds to vertex 0).
-Graphs are immutable after construction.  Adjacency is one frozenset of
-neighbors per vertex, so memory grows with the edge count; the exact
-solvers derive their own bitmasks from it.  Construction range-checks each
-edge while it fills neighbour lists, then freezes them with C-level
-``map`` calls; a self-loop or a repeated edge shows as a set shorter than
-its list, and only then are the edges rescanned so the error names the
-first bad one.  Witness claims are re-checked with one ``min`` or ``max``
-per adjacency set, as the head and the tail are vertex ranges.
+Graphs are immutable after construction.  A graph is its vertex count, its
+edge list and its degrees: each edge is stored once as (u, v) with u < v,
+and the list is sorted, so memory grows with the edge count.  Construction
+orients and sorts the edges, then checks them in a few C-level passes (the
+range, u < v for a self-loop, and equal neighbours after the sort for a
+repeated edge); only on failure are the input edges rescanned, so the
+error names the first bad one.  The exact solvers derive their own
+bitmasks from the edge list.
+
+The head is the vertex range 0..k-1, so the edges with an end in the head
+are the sorted prefix that ``bisect_left(edges, (k,))`` cuts off.  Witness
+claims read that prefix: the head is independent when every prefix edge
+ends at k or later, the tail when the prefix is the whole list; the head
+dominates when the far ends of the prefix cover k..n-1, and the tail when
+the head ends of prefix edges that reach the tail cover 0..k-1.  One
+union-find pass over the edges answers ``is_forest``, ``is_connected`` and
+``connected_components``.
 """
 
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import compress, islice
+from operator import eq, itemgetter, lt
 from typing import Iterable
 
 from .errors import InvalidWitness
@@ -30,86 +42,84 @@ __all__ = [
     "witness_to_json_obj",
 ]
 
+_first = itemgetter(0)
+_second = itemgetter(1)
+
 
 class Graph:
     """Simple undirected graph on vertices 0..n-1.
 
-    ``adjacency_sets[v]`` is the frozenset of neighbors of ``v`` and
-    ``degrees[v]`` its size.
+    ``edges()`` lists each edge once as (u, v) with u < v, sorted, and
+    ``degrees[v]`` is the degree of ``v``.
     """
 
-    __slots__ = ("n", "adjacency_sets", "degrees")
+    __slots__ = ("n", "_edges", "degrees")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise ValueError("vertex count must be non-negative")
-        self.n = n
         edges = list(edges)
-        lists: list[list[int]] = [[] for _ in range(n)]
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
+        ordered = sorted([(u, v) if u < v else (v, u) for u, v in edges])
+        if ordered:
+            heads = list(map(_first, ordered))
+            ends = list(map(_second, ordered))
+            # a self-loop keeps u == v; a repeated edge sits next to its copy
+            if (
+                heads[0] < 0
+                or max(ends) >= n
+                or not all(map(lt, heads, ends))
+                or any(map(eq, ordered, islice(ordered, 1, None)))
+            ):
                 raise _first_bad_edge(n, edges)
-            lists[u].append(v)
-            lists[v].append(u)
-        self.adjacency_sets = tuple(map(frozenset, lists))
-        self.degrees = tuple(map(len, lists))
-        # a self-loop or a repeated edge lists a neighbour twice
-        if self.degrees != tuple(map(len, self.adjacency_sets)):
-            raise _first_bad_edge(n, edges)
+        degrees = [0] * n
+        for u, v in ordered:
+            degrees[u] += 1
+            degrees[v] += 1
+        self.n = n
+        self._edges = ordered
+        self.degrees = tuple(degrees)
 
     def degree(self, v: int) -> int:
         return self.degrees[v]
 
     @property
     def m(self) -> int:
-        return sum(self.degrees) // 2
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adjacency_sets[u]
+        return len(self._edges)
 
     def edges(self) -> list[tuple[int, int]]:
-        """Edge list with u < v, sorted lexicographically."""
-        out = []
-        for u in range(self.n):
-            out.extend((u, v) for v in sorted(self.adjacency_sets[u]) if v > u)
-        return out
+        """Edge list with u < v, sorted lexicographically (a copy)."""
+        return list(self._edges)
+
+    def _parents(self) -> list[int]:
+        """Union-find parents after one pass over the edges, with path halving.
+
+        Each union hangs the larger root under the smaller, so every parent
+        is at most its child and each component's root is its least vertex.
+        """
+        parent = list(range(self.n))
+        for u, v in self._edges:
+            while u != parent[u]:
+                parent[u] = u = parent[parent[u]]
+            while v != parent[v]:
+                parent[v] = v = parent[parent[v]]
+            if u < v:
+                parent[v] = u
+            elif v < u:
+                parent[u] = v
+        return parent
 
     def connected_components(self) -> list[list[int]]:
         """Components as sorted vertex lists, ordered by smallest vertex."""
-        seen = [False] * self.n
-        comps = []
-        for start in range(self.n):
-            if seen[start]:
-                continue
-            stack = [start]
-            seen[start] = True
-            comp = []
-            while stack:
-                u = stack.pop()
-                comp.append(u)
-                for v in self.adjacency_sets[u]:
-                    if not seen[v]:
-                        seen[v] = True
-                        stack.append(v)
-            comps.append(sorted(comp))
-        return comps
+        parent = self._parents()
+        components: dict[int, list[int]] = {}
+        for v in range(self.n):
+            # parents below v already point at their roots
+            parent[v] = root = parent[parent[v]]
+            components.setdefault(root, []).append(v)
+        return list(components.values())
 
     def _component_count(self) -> int:
-        """Number of connected components, by one DFS over a ``bytearray``."""
-        seen = bytearray(self.n)
-        count = 0
-        for start in range(self.n):
-            if seen[start]:
-                continue
-            count += 1
-            seen[start] = 1
-            stack = [start]
-            while stack:
-                for v in self.adjacency_sets[stack.pop()]:
-                    if not seen[v]:
-                        seen[v] = 1
-                        stack.append(v)
-        return count
+        return sum(map(eq, self._parents(), range(self.n)))
 
     def is_connected(self) -> bool:
         return self._component_count() <= 1
@@ -117,16 +127,8 @@ class Graph:
     def is_forest(self) -> bool:
         return self.m == self.n - self._component_count()
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Graph):
-            return NotImplemented
-        return self.n == other.n and self.edges() == other.edges()
-
-    def __hash__(self):
-        return hash((self.n, tuple(self.edges())))
-
     def __repr__(self) -> str:
-        return f"Graph(n={self.n}, edges={self.edges()})"
+        return f"Graph(n={self.n}, edges={self._edges})"
 
 
 def _first_bad_edge(n: int, edges: list[tuple[int, int]], base: int = 0) -> ValueError:
@@ -204,27 +206,26 @@ class RealizationWitness:
         return w
 
 
-# The head is range(0, k) and the tail range(k, n), so a vertex has a head
-# neighbour iff its least neighbour is below k, and a tail neighbour iff its
-# greatest one is at least k: one C-level min or max per adjacency set.
+def _head_edges(g: Graph, k: int) -> list[tuple[int, int]]:
+    """The edges with an end in the head 0..k-1: a prefix of the sorted list."""
+    return g._edges[:bisect_left(g._edges, (k,))]
 
 
 def _head_dominates(g: Graph, k: int) -> bool:
-    tail = g.adjacency_sets[k:]
-    return all(tail) and max(map(min, tail), default=-1) < k
+    return len(set(filter(k.__le__, map(_second, _head_edges(g, k))))) == g.n - k
 
 
 def _tail_dominates(g: Graph, k: int) -> bool:
-    head = g.adjacency_sets[:k]
-    return all(head) and min(map(max, head), default=k) >= k
+    head = _head_edges(g, k)
+    return len(set(compress(map(_first, head), map(k.__le__, map(_second, head))))) == k
 
 
 def _head_independent(g: Graph, k: int) -> bool:
-    return min(map(min, filter(None, g.adjacency_sets[:k])), default=k) >= k
+    return min(map(_second, _head_edges(g, k)), default=k) >= k
 
 
 def _tail_independent(g: Graph, k: int) -> bool:
-    return max(map(max, filter(None, g.adjacency_sets[k:])), default=-1) < k
+    return bisect_left(g._edges, (k,)) == len(g._edges)
 
 
 def validate_witness(w: RealizationWitness) -> WitnessReport:
@@ -276,10 +277,15 @@ def _json_graph_parts(obj) -> tuple[int, list[tuple[int, int]]]:
     return n, [(i - 1, j - 1) for i, j in edges]
 
 
+def _one_based_edges(g: Graph) -> list[list[int]]:
+    """The edge list as the CLI prints it: [u + 1, v + 1] pairs."""
+    return [[u + 1, v + 1] for u, v in g._edges]
+
+
 def witness_to_json_obj(w: RealizationWitness) -> dict:
     return {
         "sequence": list(w.sequence.entries),
         "k": w.split_k,
         "claims": sorted(c.value for c in w.claims),
-        "edges": [[u + 1, v + 1] for u, v in w.graph.edges()],
+        "edges": _one_based_edges(w.graph),
     }

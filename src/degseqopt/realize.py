@@ -19,7 +19,7 @@ hands each component's edges to its members.  Those components are read
 off the peel that built the tail forest (``_peel_components``), with no
 graph built for them.  All constructions are deterministic and return
 witnesses that re-check their own claims on construction; the checks are
-C-level passes over the adjacency sets (see ``graphs``).
+C-level passes over the sorted edge list (see ``graphs``).
 """
 
 from __future__ import annotations

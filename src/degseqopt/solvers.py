@@ -1,8 +1,8 @@
 """Exact solvers for domination, independence, and clique numbers.
 
 One branch and bound engine per invariant, run on each connected
-component (gamma and alpha are additive over components; omega is solved
-as alpha of the complement):
+component (gamma and alpha are additive over components; omega is the
+largest over components of alpha of the component's complement):
 
 * domination: minimum set cover over closed neighborhoods.  The search
   prunes on two lower bounds (a greedy distance-3 packing of uncovered
@@ -13,8 +13,11 @@ as alpha of the complement):
 * independence: a search bounded by a greedy clique cover.
 
 Both work on per-vertex neighbor bitmasks, a format private to this
-module: the public solvers convert a ``Graph`` once.  The oracle reads
-its numbers off subset tables of its own and does not call these.
+module: the public solvers split a ``Graph`` into its connected components
+(``Graph.connected_components``) and build each component's bitmasks from
+the edge list in one pass, numbering the bits by position in the
+component.  The oracle reads its numbers off subset tables of its own and
+does not call these.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ def _bits(mask: int):
         mask ^= lb
 
 
-def _gamma_branch_bound(masks: tuple[int, ...], n: int) -> tuple[int, set[int]]:
+def _gamma_branch_bound(masks: list[int], n: int) -> tuple[int, set[int]]:
     """Minimum set cover over closed-neighborhood masks.
 
     Starts from the greedy cover (largest gain first, lowest index on ties)
@@ -118,7 +121,7 @@ def _gamma_branch_bound(masks: tuple[int, ...], n: int) -> tuple[int, set[int]]:
     return len(best), set(best)
 
 
-def _alpha_branch_bound(masks: tuple[int, ...], n: int) -> tuple[int, set[int]]:
+def _alpha_branch_bound(masks: list[int], n: int) -> tuple[int, set[int]]:
     """Maximum independent set with a greedy clique-cover upper bound."""
     cn = [masks[v] | (1 << v) for v in range(n)]
     best_size = 0
@@ -154,39 +157,30 @@ def _alpha_branch_bound(masks: tuple[int, ...], n: int) -> tuple[int, set[int]]:
     return best_size, best_set
 
 
-def _masks(g: Graph) -> tuple[int, ...]:
-    """Per-vertex neighbor bitmasks of ``g``."""
-    return tuple(sum(1 << w for w in g.adjacency_sets[v]) for v in range(g.n))
+def _component_masks(g: Graph) -> list[tuple[list[int], list[int]]]:
+    """Each connected component of ``g`` with its neighbor bitmasks.
+
+    Bit i of a mask stands for the component's i-th vertex; a component is
+    a sorted vertex list, so on a connected graph the bits are the vertices.
+    """
+    components = g.connected_components()
+    index = [0] * g.n
+    for comp in components:
+        for i, v in enumerate(comp):
+            index[v] = i
+    masks = [0] * g.n
+    for u, v in g.edges():  # both ends lie in one component
+        masks[u] |= 1 << index[v]
+        masks[v] |= 1 << index[u]
+    return [(comp, [masks[v] for v in comp]) for comp in components]
 
 
-def _components(masks: tuple[int, ...]) -> list[list[int]]:
-    """Connected components as sorted vertex lists."""
-    comps = []
-    left = (1 << len(masks)) - 1
-    while left:
-        comp = frontier = left & -left
-        while frontier:
-            reach = 0
-            for v in _bits(frontier):
-                reach |= masks[v]
-            frontier = reach & ~comp
-            comp |= frontier
-        comps.append(list(_bits(comp)))
-        left &= ~comp
-    return comps
-
-
-def _solve(masks: tuple[int, ...], branch_bound) -> tuple[int, set[int]]:
+def _solve(g: Graph, branch_bound) -> tuple[int, set[int]]:
     """``branch_bound`` on each connected component; the sizes add up."""
-    comps = _components(masks)
-    if len(comps) == 1:
-        return branch_bound(masks, len(masks))
     total = 0
     chosen: set[int] = set()
-    for comp in comps:
-        index = {v: i for i, v in enumerate(comp)}
-        local = tuple(sum(1 << index[w] for w in _bits(masks[v])) for v in comp)
-        size, picked = branch_bound(local, len(comp))
+    for comp, masks in _component_masks(g):
+        size, picked = branch_bound(masks, len(comp))
         total += size
         chosen.update(comp[i] for i in picked)
     return total, chosen
@@ -200,20 +194,24 @@ def _check_limit(n: int, limit: int) -> None:
 def domination_number(g: Graph, limit: int = DEFAULT_SOLVER_LIMIT) -> tuple[int, frozenset[int]]:
     """Exact domination number of ``g`` plus one minimum dominating set."""
     _check_limit(g.n, limit)
-    size, chosen = _solve(_masks(g), _gamma_branch_bound)
+    size, chosen = _solve(g, _gamma_branch_bound)
     return size, frozenset(chosen)
 
 
 def independence_number(g: Graph, limit: int = DEFAULT_SOLVER_LIMIT) -> tuple[int, frozenset[int]]:
     """Exact independence number of ``g`` plus one maximum independent set."""
     _check_limit(g.n, limit)
-    size, chosen = _solve(_masks(g), _alpha_branch_bound)
+    size, chosen = _solve(g, _alpha_branch_bound)
     return size, frozenset(chosen)
 
 
 def clique_number(g: Graph, limit: int = DEFAULT_SOLVER_LIMIT) -> int:
-    """Exact clique number, computed as the independence number of the complement."""
+    """Exact clique number: the largest over the components of ``g`` of the
+    independence number of the component's complement."""
     _check_limit(g.n, limit)
-    full = (1 << g.n) - 1
-    complement = tuple(full ^ m ^ (1 << v) for v, m in enumerate(_masks(g)))
-    return _solve(complement, _alpha_branch_bound)[0]
+    best = 0
+    for comp, masks in _component_masks(g):
+        full = (1 << len(comp)) - 1
+        complement = [full ^ m ^ (1 << i) for i, m in enumerate(masks)]
+        best = max(best, _alpha_branch_bound(complement, len(comp))[0])
+    return best

@@ -24,6 +24,52 @@ from degseqopt import (
 
 
 # ---------------------------------------------------------------------------
+# graph views built from the edge list (the graph model keeps only edges)
+
+
+def neighbours(g: Graph) -> list[set[int]]:
+    """The set of neighbours of each vertex."""
+    out = [set() for _ in range(g.n)]
+    for u, v in g.edges():
+        out[u].add(v)
+        out[v].add(u)
+    return out
+
+
+def neighbour_masks(g: Graph) -> list[int]:
+    """Per-vertex neighbour bitmasks, bit w standing for vertex w."""
+    return [sum(1 << w for w in nbrs) for nbrs in neighbours(g)]
+
+
+def has_edge(g: Graph, u: int, v: int) -> bool:
+    return (min(u, v), max(u, v)) in g.edges()
+
+
+def same_graph(g: Graph, h: Graph) -> bool:
+    return g.n == h.n and g.edges() == h.edges()
+
+
+def components_reference(g: Graph) -> list[list[int]]:
+    """Components by breadth-first search, as sorted vertex lists ordered by
+    smallest vertex."""
+    nbrs = neighbours(g)
+    seen = [False] * g.n
+    out = []
+    for start in range(g.n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        queue = [start]
+        for u in queue:  # the list grows while it is read: a FIFO queue
+            for w in nbrs[u]:
+                if not seen[w]:
+                    seen[w] = True
+                    queue.append(w)
+        out.append(sorted(queue))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # naive exact solvers (subset enumeration, smallest-first / largest-first)
 
 
@@ -31,7 +77,7 @@ def naive_domination(g: Graph) -> int:
     n = g.n
     if n == 0:
         return 0
-    closed = [set(g.adjacency_sets[v]) | {v} for v in range(n)]
+    closed = [nbrs | {v} for v, nbrs in enumerate(neighbours(g))]
     everything = set(range(n))
     for size in range(n + 1):
         for subset in combinations(range(n), size):
@@ -45,18 +91,20 @@ def naive_domination(g: Graph) -> int:
 
 def naive_independence(g: Graph) -> int:
     n = g.n
+    nbrs = neighbours(g)
     for size in range(n, -1, -1):
         for subset in combinations(range(n), size):
-            if all(not g.has_edge(u, v) for u, v in combinations(subset, 2)):
+            if all(v not in nbrs[u] for u, v in combinations(subset, 2)):
                 return size
     return 0
 
 
 def naive_clique(g: Graph) -> int:
     n = g.n
+    nbrs = neighbours(g)
     for size in range(n, -1, -1):
         for subset in combinations(range(n), size):
-            if all(g.has_edge(u, v) for u, v in combinations(subset, 2)):
+            if all(v in nbrs[u] for u, v in combinations(subset, 2)):
                 return size
     return 0
 
@@ -330,13 +378,13 @@ def two_switch(g: Graph, xy: tuple[int, int], xpyp: tuple[int, int]) -> Graph:
         raise PreconditionViolated(f"vertex out of range in {xy}, {xpyp}")
     if len({x, y, xp, yp}) != 4:
         raise PreconditionViolated(f"edges {xy} and {xpyp} are not disjoint")
-    if not g.has_edge(x, y):
+    if not has_edge(g, x, y):
         raise PreconditionViolated(f"{xy} is not an edge")
-    if not g.has_edge(xp, yp):
+    if not has_edge(g, xp, yp):
         raise PreconditionViolated(f"{xpyp} is not an edge")
-    if g.has_edge(x, xp):
+    if has_edge(g, x, xp):
         raise PreconditionViolated(f"({x}, {xp}) is already an edge")
-    if g.has_edge(y, yp):
+    if has_edge(g, y, yp):
         raise PreconditionViolated(f"({y}, {yp}) is already an edge")
     removed = {(min(x, y), max(x, y)), (min(xp, yp), max(xp, yp))}
     added = {(min(x, xp), max(x, xp)), (min(y, yp), max(y, yp))}

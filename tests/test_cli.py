@@ -578,3 +578,67 @@ def test_realize_hh_reads_a_hundred_thousand_vertices_from_stdin():
         degrees[u - 1] += 1
         degrees[v - 1] += 1
     assert degrees == obj["sequence"]["sorted"] == sorted(entries, reverse=True)
+
+
+# ---------------------------------------------------------------------------
+# byte-identity on large inputs: SHA-256 of stdout, recorded before the graph
+# model moved from per-vertex neighbour sets to one sorted edge list
+
+
+def _random_graphic_text(seed, top):
+    import random
+
+    rng = random.Random(seed)
+    entries = [rng.randint(1, top) for _ in range(1999)]
+    entries.append(2 - sum(entries) % 2)  # an even sum; small entries on 2000 vertices are graphic
+    return ",".join(map(str, entries))
+
+
+def _prufer_tree_text(seed):
+    import random
+
+    rng = random.Random(seed)
+    degrees = [1] * 2000
+    for _ in range(2000 - 2):
+        degrees[rng.randrange(2000)] += 1
+    return ",".join(map(str, degrees))
+
+
+def _bipartite_spec_text(seed):
+    import random
+
+    rng = random.Random(seed)
+    a = [rng.randint(0, 3) for _ in range(1000)]
+    b = [x + rng.randint(0, 3) for x in a]
+    ap = [rng.randint(0, 3) for _ in range(1000)]
+    bp = [x + rng.randint(0, 3) for x in ap]
+    return json.dumps({"a": a, "b": b, "ap": ap, "bp": bp})
+
+
+_TREE = _prufer_tree_text(20150716)
+_LARGE_GOLDENS = [
+    ("realize-hh", ["realize", "hh", _random_graphic_text(1, 5)],
+     "23c815a7aeaec465735a112a179bc1071a52fecad5c4cc50ea52bf1e894e038b"),
+    ("realize-forest", ["realize", "forest", _TREE],
+     "673fa6ab8333058a0359e0ad8bcbce154df23e5142c070aa89cd9220f26feca7"),
+    ("realize-indep-dom", ["realize", "indep-dom", _TREE, "--k", "447"],
+     "c13ea0f0d74d93bc1cc20ddef23a881bd605da9cc3dc5e2f702b088027f02db2"),
+    ("gamma-min", ["gamma-min", _random_graphic_text(2, 6), "--witness"],
+     "b4da0076b2adc3b5ed6d8d75e23265dad7b99f70391d10540777b9d433ee5a57"),
+    ("forest-gamma-min", ["forest", "gamma-min", _TREE, "--witness"],
+     "b10836656f170b366f4f09521913f7b68659a83ec5f864604ea3375b811c283b"),
+    ("forest-alpha-max", ["forest", "alpha-max", _TREE, "--witness"],
+     "91a6f83c918edee62fc6ba4514c75979445c5d1199765091ce599a9290d53873"),
+    ("bip-check", ["bip-check", "--spec", _bipartite_spec_text(7)],
+     "a0a68b1daa2b50d46cd777051adea07699b6da05878f83ad2d731ec1ca5f6a21"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", [case[1:] for case in _LARGE_GOLDENS],
+                         ids=[case[0] for case in _LARGE_GOLDENS])
+def test_large_json_outputs_keep_their_recorded_bytes(argv, digest):
+    import hashlib
+
+    code, out = run_argv(argv + ["--json"])
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -28,9 +28,17 @@ from degseqopt.graphs import (
     _tail_dominates,
     _tail_independent,
 )
-from degseqopt.solvers import _masks
+from degseqopt.solvers import _component_masks
 
-from conftest import random_graph, two_switch
+from conftest import (
+    components_reference,
+    has_edge,
+    neighbours,
+    random_graph,
+    random_tree,
+    same_graph,
+    two_switch,
+)
 
 
 def triangle():
@@ -51,20 +59,37 @@ def test_graph_accessors():
     assert g.edges() == [(0, 1), (1, 2), (2, 3)]
     assert g.degrees == (1, 2, 2, 1)
     assert g.m == 3
-    assert tuple(sorted(g.adjacency_sets[1])) == (0, 2)
-    assert g.has_edge(2, 1) and not g.has_edge(0, 3)
+    assert neighbours(g)[1] == {0, 2}
+    assert has_edge(g, 2, 1) and not has_edge(g, 0, 3)
     assert g.is_forest() and g.is_connected()
     assert g.connected_components() == [[0, 1, 2, 3]]
 
 
 def test_masks_agree_with_sets():
+    # bit i of a component's mask stands for the component's i-th vertex
     rng = random.Random(7)
     for _ in range(50):
         g = random_graph(rng, rng.randint(1, 12), rng.random())
-        masks = _masks(g)
-        for v in range(g.n):
-            from_mask = {b for b in range(g.n) if masks[v] >> b & 1}
-            assert from_mask == set(g.adjacency_sets[v])
+        nbrs = neighbours(g)
+        split = _component_masks(g)
+        assert [comp for comp, _ in split] == components_reference(g)
+        for comp, masks in split:
+            for v, mask in zip(comp, masks):
+                assert {w for i, w in enumerate(comp) if mask >> i & 1} == nbrs[v]
+
+
+def test_components_connectivity_and_forests_match_the_bfs_reference():
+    # sparse G(n, p) and forests cut from a random tree leave isolated vertices
+    rng = random.Random(1972)
+    for n in [0, 1, 2] * 5 + [rng.randint(3, 40) for _ in range(200)]:
+        tree = random_tree(rng, n)
+        forest = Graph(n, rng.sample(tree.edges(), rng.randint(0, tree.m)))
+        for g in (random_graph(rng, n, rng.choice([0.02, 0.05, 0.1, 0.3])), tree, forest):
+            comps = components_reference(g)
+            assert g.connected_components() == comps
+            assert g.is_connected() == (len(comps) <= 1)
+            assert g.is_forest() == (g.m == n - len(comps))
+        assert tree.is_connected() and tree.is_forest() and forest.is_forest()
 
 
 @pytest.mark.parametrize(
@@ -130,6 +155,8 @@ def test_public_surface_is_pinned():
                 if getattr(value, "__module__", None) == "degseqopt.solvers"]
     assert not hasattr(degseqopt.solvers, "_tables")
     assert not hasattr(degseqopt.solvers, "_TABLE_MAX")
+    # the graph is its edge list: the views tests need live in conftest
+    assert not {"has_edge", "__eq__", "__hash__", "adjacency_sets"} & set(Graph.__dict__)
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +250,7 @@ def test_complement_of_minimum_dominating_set_dominates():
         _, dset = domination_number(g)
         rest = set(range(g.n)) - dset
         assert all(
-            any(w in rest for w in g.adjacency_sets[v]) for v in set(range(g.n)) - rest
+            any(w in rest for w in neighbours(g)[v]) for v in set(range(g.n)) - rest
         )
 
 
@@ -244,7 +271,7 @@ def test_graph_json_roundtrip():
     g = Graph(4, [(0, 1), (2, 3)])
     obj = {"n": 4, "edges": [[1, 2], [3, 4]]}
     assert {"n": g.n, "edges": [[u + 1, v + 1] for u, v in g.edges()]} == obj
-    assert Graph(*_json_graph_parts(obj)) == g
+    assert same_graph(Graph(*_json_graph_parts(obj)), g)
 
 
 # ---------------------------------------------------------------------------
@@ -293,18 +320,20 @@ def test_graph_rejects_what_the_per_edge_checks_rejected(n, edges):
     if expected is None:
         g = Graph(n, edges)
         assert sorted(g.edges()) == sorted({(min(e), max(e)) for e in edges})
-        assert g.degrees == tuple(len(s) for s in g.adjacency_sets)
+        assert g.degrees == tuple(map(len, neighbours(g)))
     else:
         with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
             Graph(n, edges)
 
 
 def dominates_reference(g, inside, outside):
-    return all(any(w in inside for w in g.adjacency_sets[v]) for v in outside)
+    nbrs = neighbours(g)
+    return all(any(w in inside for w in nbrs[v]) for v in outside)
 
 
 def independent_reference(g, vertices):
-    return not any(w in vertices for v in vertices for w in g.adjacency_sets[v])
+    nbrs = neighbours(g)
+    return not any(w in vertices for v in vertices for w in nbrs[v])
 
 
 @given(st.integers(min_value=0, max_value=9), st.floats(min_value=0, max_value=1),

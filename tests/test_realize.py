@@ -24,6 +24,8 @@ from degseqopt import (
 from degseqopt.oracle import iter_degree_sequences
 from degseqopt.realize import _independent_tail_edges, _peel_components
 
+from conftest import components_reference, has_edge, neighbours
+
 
 def forest_sequences(n_max, positive_only=True):
     start = 2 if positive_only else 1
@@ -206,9 +208,7 @@ def test_independent_tail_sweep_all_valid_splits_up_to_n9():
             w = independent_tail_forest(d, k)
             assert validate_witness(w).ok
             tail = range(k, d.n)
-            assert all(
-                not w.graph.has_edge(u, v) for u in tail for v in tail if u < v
-            )
+            assert all(not has_edge(w.graph, u, v) for u in tail for v in tail if u < v)
             assert w.graph.m == d.total // 2
 
 
@@ -219,7 +219,7 @@ def test_independent_tail_sweep_all_valid_splits_up_to_n9():
 def test_independent_dominating_head_examples():
     w = independent_dominating_head_forest(normalize([3, 2, 2, 2, 1, 1, 1]), 2)
     assert validate_witness(w).ok
-    assert not w.graph.has_edge(0, 1)
+    assert not has_edge(w.graph, 0, 1)
 
     w = independent_dominating_head_forest(normalize([1, 1]), 1)
     assert w.graph.edges() == [(0, 1)]
@@ -246,13 +246,9 @@ def test_independent_dominating_head_sweep_all_valid_splits_up_to_n9():
                 continue
             w = independent_dominating_head_forest(d, k)
             assert validate_witness(w).ok
-            head = range(k)
-            assert all(
-                not w.graph.has_edge(u, v) for u in head for v in head if u < v
-            )
-            assert all(
-                any(u < k for u in w.graph.adjacency_sets[v]) for v in range(k, n)
-            )
+            nbrs = neighbours(w.graph)
+            assert all(v >= k for u in range(k) for v in nbrs[u])
+            assert all(any(u < k for u in nbrs[v]) for v in range(k, n))
             assert w.graph.m == d.total // 2
 
 
@@ -319,10 +315,9 @@ def test_independent_dominating_head_random_families_beyond_n9():
                 w = independent_dominating_head_forest(d, k)
                 g = w.graph
                 assert validate_witness(w).ok
-                assert all(v >= k for u in range(k) for v in g.adjacency_sets[u])
-                assert all(
-                    any(u < k for u in g.adjacency_sets[v]) for v in range(k, d.n)
-                )
+                nbrs = neighbours(g)
+                assert all(v >= k for u in range(k) for v in nbrs[u])
+                assert all(any(u < k for u in nbrs[v]) for v in range(k, d.n))
                 assert g.m == d.total // 2
     assert accepted > 500
     # both ways of choosing the tail-internal degrees ran, many times
@@ -374,11 +369,11 @@ def test_peel_components_match_the_graph_components(sizes, pad, seed):
     rng.shuffle(f)
     edges = _independent_tail_edges(f, len(f))
     size = len(f) + pad
-    assert _peel_components(edges, size) == Graph(size, edges).connected_components()
+    assert _peel_components(edges, size) == components_reference(Graph(size, edges))
 
 
 def test_peel_components_on_every_positive_forest_sequence_up_to_n9():
     for d in forest_sequences(9):
         edges = _independent_tail_edges(d.entries, d.n)
         for size in (d.n, d.n + 2):
-            assert _peel_components(edges, size) == Graph(size, edges).connected_components()
+            assert _peel_components(edges, size) == components_reference(Graph(size, edges))

@@ -3,13 +3,16 @@ import random
 import pytest
 
 from degseqopt import Graph, TooLarge, clique_number, domination_number, independence_number
-from degseqopt.solvers import _alpha_branch_bound, _gamma_branch_bound, _masks
+from degseqopt.solvers import _alpha_branch_bound, _gamma_branch_bound
 
 from conftest import (
     gamma_branch_bound_reference,
+    has_edge,
     naive_clique,
     naive_domination,
     naive_independence,
+    neighbour_masks,
+    neighbours,
     random_connected_graph,
     random_connected_gnp,
     random_graph,
@@ -48,9 +51,10 @@ def complete(n):
 def test_domination_examples(graph, gamma):
     value, dset = domination_number(graph)
     assert value == gamma
+    nbrs = neighbours(graph)
     closed = set()
     for v in dset:
-        closed |= set(graph.adjacency_sets[v]) | {v}
+        closed |= nbrs[v] | {v}
     assert closed == set(range(graph.n))
     assert len(dset) == value
 
@@ -66,7 +70,7 @@ def test_domination_examples(graph, gamma):
 def test_independence_examples(graph, alpha):
     value, iset = independence_number(graph)
     assert value == alpha
-    assert all(not graph.has_edge(u, v) for u in iset for v in iset if u < v)
+    assert all(not has_edge(graph, u, v) for u in iset for v in iset if u < v)
     assert len(iset) == value
 
 
@@ -116,7 +120,7 @@ def test_branch_and_bound_agrees_with_tables():
     for _ in range(150):
         n = rng.randint(2, 12)
         g = random_graph(rng, n, rng.uniform(0.1, 0.9))
-        masks = _masks(g)
+        masks = neighbour_masks(g)
         gamma, alpha, omega = subset_table_reference(masks, n)
         assert _gamma_branch_bound(masks, n)[0] == gamma == domination_number(g)[0]
         assert _alpha_branch_bound(masks, n)[0] == alpha == independence_number(g)[0]
@@ -195,7 +199,7 @@ def test_gamma_branch_bound_matches_tables():
     rng = random.Random(20110501)
     for _ in range(2000):
         n = rng.randint(1, 14)
-        masks = _masks(grown_graph(rng, n))
+        masks = neighbour_masks(grown_graph(rng, n))
         size, chosen = _gamma_branch_bound(masks, n)
         assert size == subset_table_reference(masks, n)[0]
         assert len(chosen) == size and dominates(masks, chosen)
@@ -206,7 +210,7 @@ def test_paths_and_cycles_past_the_tables(n):
     for g in (path(n), cycle(n)):
         size, chosen = domination_number(g, limit=40)
         assert size == -(-n // 3)
-        assert len(chosen) == size and dominates(_masks(g), chosen)
+        assert len(chosen) == size and dominates(neighbour_masks(g), chosen)
 
 
 def corona(g):
@@ -221,7 +225,7 @@ def test_corona_is_settled_at_the_root(m):
     # m vertices, so the packing bound meets it before any branching
     rng = random.Random(m)
     for g in (path(m), random_connected_graph(rng, m, m // 2), complete(m)):
-        masks = _masks(corona(g))
+        masks = neighbour_masks(corona(g))
         (size, chosen), shape = search_tree_shape(_gamma_branch_bound, masks)
         assert size == m and len(chosen) == m and dominates(masks, chosen)
         assert shape == [1]
@@ -245,7 +249,7 @@ def test_root_branches_only_on_undominated_coverers():
     branched = 0
     for _ in range(300):
         n = rng.randint(15, 24)
-        masks = _masks(grown_graph(rng, n))
+        masks = neighbour_masks(grown_graph(rng, n))
         (size, chosen), shape = search_tree_shape(_gamma_branch_bound, masks)
         assert dominates(masks, chosen) and len(chosen) == size
         if len(shape) > 1:
@@ -258,7 +262,7 @@ def test_gamma_branch_bound_agrees_with_reference_on_connected_gnp():
     rng = random.Random(16205)
     for n in range(15, 33):
         for p in (0.1, 0.2, 0.4):
-            masks = _masks(random_connected_gnp(rng, n, p))
+            masks = neighbour_masks(random_connected_gnp(rng, n, p))
             size, chosen = _gamma_branch_bound(masks, n)
             assert size == gamma_branch_bound_reference(masks, n)[0]
             assert len(chosen) == size and dominates(masks, chosen)
