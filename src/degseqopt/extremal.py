@@ -3,9 +3,9 @@
 Computes, for a graphic sequence d:
 
 * omega_max(d), alpha_max(d): the largest clique/independence number of
-  any realization, by Rao's clique peel on a degree histogram, searched
-  over k by galloping down from the top and bisecting (feasibility is
-  monotone in k);
+  any realization, by one Rao peel on d's degree histogram, tried at a
+  start bound and otherwise bisected over k (feasibility is monotone in
+  k);
 * gamma_min(d): the smallest domination number of any realization, by
   scanning split sizes k upward from the Slater number to p // 2, p the
   number of positive entries (Ore: gamma <= n/2 without isolated
@@ -48,7 +48,7 @@ from .sequences import (
     is_graphic,
     slater,
 )
-from .solvers import DEFAULT_SOLVER_LIMIT, domination_number
+from .solvers import domination_number
 
 __all__ = [
     "ExtremalParameter",
@@ -134,30 +134,23 @@ class ExtremalResult:
 # largest clique / independence number over realizations
 
 
-def _rao_clique_feasible(entries: tuple[int, ...], k: int) -> bool:
-    """Can some realization contain a clique on the k largest-degree vertices?
+def _lay_off(rest: tuple[int, ...], demands) -> bool:
+    """Rao's peel: can each demand w take one edge from w vertices of ``rest``?
 
-    Peels the clique vertices one at a time.  Clique vertex j enters its
-    step with residual ``entries[j] - j``; it joins the k - j - 1 clique
-    vertices still to come and the w = entries[j] - k + 1 largest tail
-    values, each of which drops by one.  The tail is a value -> count
-    histogram, so a step walks only the values from the top down to the
-    lowest one it lowers: no list shifts and no re-sort.
-    Feasible iff every step finds w positive tail values and the final
-    tail is graphic (Erdos-Gallai).  Needs ``entries`` non-increasing.
+    Demand w takes one edge from each of the w largest residuals of
+    ``rest``, which drop by one.  The residuals are a value -> count
+    histogram, so a demand walks only the values from the top down to the
+    lowest one it lowers: no list shifts and no re-sort.  Feasible iff
+    every demand finds w positive residuals and the final residuals are
+    graphic (Erdos-Gallai).  Needs ``rest`` non-increasing and every
+    demand non-negative.
     """
-    if entries and entries[0] >= len(entries):
-        return False  # no vertex has n neighbours; keeps the histogram O(n)
-    if k and entries[k - 1] < k - 1:
-        return False  # some clique vertex cannot reach the other k - 1
-    tail = entries[k:]
-    top = tail[0] if tail else 0
+    top = rest[0] if rest else 0
     count = [0] * (top + 1)
-    for x in tail:
+    for x in rest:
         count[x] += 1
-    for j in range(k):
-        w = entries[j] - k + 1
-        if w > len(tail) - count[0]:
+    for w in demands:
+        if w > len(rest) - count[0]:
             return False
         x, moved = top, 0
         while w:
@@ -173,51 +166,64 @@ def _rao_clique_feasible(entries: tuple[int, ...], k: int) -> bool:
     return _graphic_erdos_gallai(out)
 
 
-def _largest_clique(entries: tuple[int, ...]) -> int:
-    """Largest k with a k-clique in some realization of graphic ``entries``.
+def _rao_clique_feasible(entries: tuple[int, ...], k: int) -> bool:
+    """Can some realization contain a clique on the k largest-degree vertices?
 
-    By Rao's theorem a k-clique exists in some realization iff one exists
-    on the k largest-degree vertices, which ``_rao_clique_feasible`` tests;
-    and since a k-clique contains a (k-1)-clique, feasibility is monotone
-    in k.  The search gallops down from the top candidate hi (the largest
-    k with d_k >= k - 1), trying hi, hi-1, hi-3, hi-7, ... until a k is
-    feasible, then bisects the gap above it: O(log n) peels, and one or
-    two on dense inputs, whose answer sits near the top.  Needs
-    ``entries`` non-increasing.
+    Clique vertex j joins the other k - 1 and lays off its remaining
+    entries[j] - k + 1 edges onto the tail ``entries[k:]``, largest first.
+    Needs ``entries`` non-increasing.
     """
-    good = max(k for k in range(1, len(entries) + 1) if entries[k - 1] >= k - 1)
-    bad, step = good + 1, 1
-    while not _rao_clique_feasible(entries, good):
-        if good == 1:
-            raise AssertionError("k = 1 is always feasible for a graphic sequence")
-        bad, good, step = good, max(1, good - step), 2 * step
-    while bad - good > 1:
-        mid = (good + bad) // 2
-        if _rao_clique_feasible(entries, mid):
-            good = mid
-        else:
-            bad = mid
-    return good
+    if k and entries[k - 1] < k - 1:
+        return False  # some clique vertex cannot reach the other k - 1
+    return _lay_off(entries[k:], [x - k + 1 for x in entries[:k]])
+
+
+def _largest_feasible(hi: int, feasible) -> int:
+    """Largest k in 1..hi with ``feasible(k)``, for feasibility monotone in k.
+
+    Tries the start bound hi first, as it is often met, else bisects below.
+    """
+    if feasible(hi):
+        return hi
+    best = bisect_left(range(1, hi), True, key=lambda k: not feasible(k))
+    if not best:
+        raise AssertionError("k = 1 is always feasible for a graphic sequence")
+    return best
 
 
 def omega_max(d: DegreeSequence) -> ExtremalResult:
-    """Largest clique number among all realizations of ``d``."""
+    """Largest clique number among all realizations of ``d``.
+
+    By Rao's theorem some realization has a k-clique iff one has it on the
+    k largest-degree vertices.  The search starts at the largest k with
+    d_k >= k - 1.
+    """
     if not is_graphic(d):
         raise NotGraphic(f"{d.entries} is not graphic")
-    return ExtremalResult(ExtremalParameter.OMEGA_MAX, _largest_clique(d.entries), bound_chain(d))
+    entries = d.entries
+    hi = bisect_left(range(d.n), True, key=lambda i: entries[i] < i)
+    value = _largest_feasible(hi, lambda k: _rao_clique_feasible(entries, k))
+    return ExtremalResult(ExtremalParameter.OMEGA_MAX, value, bound_chain(d))
 
 
 def alpha_max(d: DegreeSequence) -> ExtremalResult:
     """Largest independence number among all realizations of ``d``.
 
-    Equals the largest clique number over realizations of the complement
-    sequence (n-1-d_n, ..., n-1-d_1), which is graphic with ``d`` and
-    already non-increasing.
+    The k smallest-degree vertices lay off their d_j edges, smallest
+    first, onto the other n - k: the complement's clique peel read on
+    ``d``.  The search starts at the annihilation number (Pepper), capped
+    by the largest k whose k smallest entries fit into the other n - k.
     """
     if not is_graphic(d):
         raise NotGraphic(f"{d.entries} is not graphic")
-    value = _largest_clique(tuple(d.n - 1 - x for x in reversed(d.entries)))
-    return ExtremalResult(ExtremalParameter.ALPHA_MAX, value, bound_chain(d))
+    chain = bound_chain(d)
+    entries, n = d.entries, d.n
+    fits = n - bisect_left(range(n), True, key=lambda i: entries[i] <= i)
+    value = _largest_feasible(
+        min(chain.annihilation, fits),
+        lambda k: _lay_off(entries[: n - k], reversed(entries[n - k :])),
+    )
+    return ExtremalResult(ExtremalParameter.ALPHA_MAX, value, chain)
 
 
 # ---------------------------------------------------------------------------
@@ -413,30 +419,22 @@ def gamma_min_forest(d: DegreeSequence) -> ExtremalResult:
 def alpha_max_forest(d: DegreeSequence) -> ExtremalResult:
     """Largest independence number among all forest realizations of ``d``.
 
-    Equals the annihilation number.  The witness realizes the positive
-    part with an independent tail of that size and appends the isolated
-    vertices to the independent side.
+    Equals the annihilation number a.  Each zero entry adds exactly one to
+    a, so the split k = n - a is also the positive part's.  The witness
+    realizes the positive part with an independent tail and leaves the
+    isolated vertices at the end of the independent side.
     """
     if not is_forest_sequence(d):
         raise NotForestSequence(f"{d.entries} is not a forest sequence")
     chain = bound_chain(d)
-    a = annihilation(d)
-    pos = d.positive_part()
-    if pos is None:
-        witness = RealizationWitness.checked(
-            Graph(d.n), d, 0, {WitnessClaim.IS_FOREST, WitnessClaim.TAIL_INDEPENDENT}
-        )
-        return ExtremalResult(
-            ExtremalParameter.ALPHA_MAX_FOREST, d.n, chain, achieving_k=0, witness=witness
-        )
-    k = pos.n - annihilation(pos)
-    edges = _independent_tail_edges(pos.entries, k)
+    k = d.n - chain.annihilation
+    edges = _independent_tail_edges(d.entries[: d.positive_count], k)
     claims = {WitnessClaim.IS_FOREST, WitnessClaim.TAIL_INDEPENDENT}
     if d.n0 == 0:
         claims.add(WitnessClaim.HEAD_DOMINATING)  # isolated vertices break this
     witness = RealizationWitness.checked(Graph(d.n, edges), d, k, claims)
     return ExtremalResult(
-        ExtremalParameter.ALPHA_MAX_FOREST, a, chain, achieving_k=k, witness=witness
+        ExtremalParameter.ALPHA_MAX_FOREST, d.n - k, chain, achieving_k=k, witness=witness
     )
 
 
@@ -459,12 +457,12 @@ class SlaterBoundReport:
     bound: int
 
 
-def check_slater_bound(g: Graph, limit: int = DEFAULT_SOLVER_LIMIT) -> SlaterBoundReport:
+def check_slater_bound(g: Graph) -> SlaterBoundReport:
     if g.n < 1:
         raise PreconditionViolated("graph must have at least one vertex")
     if not g.is_connected():
         raise NotConnected("bound applies to connected graphs only")
-    gamma, _ = domination_number(g, limit=limit)
+    gamma, _ = domination_number(g)
     sl = slater(degree_sequence(g))
     k = g.m - (g.n - 1)
     bound = 3 * sl + 2 * k - 2

@@ -157,12 +157,10 @@ def forest_realize(d: DegreeSequence) -> Graph:
     """Some forest realizing ``d`` positionally (zeros become isolated vertices)."""
     if not is_forest_sequence(d):
         raise NotForestSequence(f"{d.entries} is not a forest sequence")
-    pos = d.positive_part()
-    if pos is None:
-        return Graph(d.n)
-    # with the split after the last vertex the independence constraint is
-    # vacuous, so this is just a deterministic forest construction
-    return Graph(d.n, _independent_tail_edges(pos.entries, pos.n))
+    # with the split after the last positive vertex the independence
+    # constraint is vacuous: just a deterministic forest construction
+    p = d.positive_count
+    return Graph(d.n, _independent_tail_edges(d.entries[:p], p))
 
 
 def independent_tail_forest(d: DegreeSequence, k: int) -> RealizationWitness:

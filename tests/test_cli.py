@@ -582,7 +582,9 @@ def test_realize_hh_reads_a_hundred_thousand_vertices_from_stdin():
 
 # ---------------------------------------------------------------------------
 # byte-identity on large inputs: SHA-256 of stdout, recorded before the graph
-# model moved from per-vertex neighbour sets to one sorted edge list
+# model moved from per-vertex neighbour sets to one sorted edge list; the
+# alpha-max, omega-max and zero-entry cases were recorded before both searches
+# moved onto one lay-off peel of the sequence itself
 
 
 def _random_graphic_text(seed, top):
@@ -591,6 +593,15 @@ def _random_graphic_text(seed, top):
     rng = random.Random(seed)
     entries = [rng.randint(1, top) for _ in range(1999)]
     entries.append(2 - sum(entries) % 2)  # an even sum; small entries on 2000 vertices are graphic
+    return ",".join(map(str, entries))
+
+
+def _dense_graphic_text(seed):
+    import random
+
+    rng = random.Random(seed)
+    entries = [rng.randint(500, 1500) for _ in range(1999)]
+    entries.append(1000 + sum(entries) % 2)  # an even sum; these middling entries are graphic
     return ",".join(map(str, entries))
 
 
@@ -631,6 +642,18 @@ _LARGE_GOLDENS = [
      "91a6f83c918edee62fc6ba4514c75979445c5d1199765091ce599a9290d53873"),
     ("bip-check", ["bip-check", "--spec", _bipartite_spec_text(7)],
      "a0a68b1daa2b50d46cd777051adea07699b6da05878f83ad2d731ec1ca5f6a21"),
+    ("alpha-max", ["alpha-max", _random_graphic_text(1, 5)],
+     "bff9790d8949daa35322017d9002dd29715499c384f35c441df5003a0c5fb803"),
+    ("omega-max", ["omega-max", _random_graphic_text(1, 5)],
+     "a6bb12e6e6423a3f88e78b3911b5ec73c3334474366bf8d3bf0dfd0db24e5339"),
+    ("alpha-max-dense", ["alpha-max", _dense_graphic_text(3)],
+     "91e1fa53a455851fddc8f1a73ade1031f7c5e4695adcedafbf39198742704b7b"),
+    ("omega-max-dense", ["omega-max", _dense_graphic_text(3)],
+     "1bf9d34a567a2224476a3d5dee6b82fdc3614661db42e29385caed9d4e03a13d"),
+    ("forest-alpha-max-zeros", ["forest", "alpha-max", _TREE + ",0,0,0", "--witness"],
+     "c494ecd27e2d9c760244ae9aed2764f5d6b37ddaf65d098489762aed07c4e707"),
+    ("realize-forest-zeros", ["realize", "forest", _TREE + ",0,0,0"],
+     "acbf809c6a0892961b47ac1156d6dc21e789eb0dc628911e11ff534a0055f49b"),
 ]
 
 

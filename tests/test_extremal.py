@@ -130,12 +130,49 @@ def test_omega_alpha_match_linear_scan():
         assert alpha_max(d).value == _linear_omega(comp.entries)
 
 
-def test_alpha_max_sparse_10000():
+def test_independent_lay_off_matches_the_complement_clique_peel():
+    from degseqopt.extremal import _lay_off, _rao_clique_feasible
+
+    cases = [
+        seq
+        for n in range(1, 9)
+        for seq in iter_degree_sequences(n)
+        if sum(seq) % 2 == 0
+    ]
+    cases += [s for s in _random_sequences(random.Random(11), 300, 70) if s[0] < len(s)]
+    for entries in cases:
+        n = len(entries)
+        complement = tuple(n - 1 - x for x in reversed(entries))
+        for k in range(n + 1):
+            independent = _lay_off(entries[: n - k], reversed(entries[n - k :]))
+            assert independent == _rao_clique_feasible(complement, k), (entries, k)
+
+
+def _sparse_10000():
     rng = random.Random(13)
     entries = [rng.randint(1, 5) for _ in range(10000)]
     entries[0] += sum(entries) % 2
-    d = normalize(entries)
-    assert alpha_max(d).value <= annihilation(d)
+    return normalize(entries)
+
+
+def test_alpha_max_sparse_10000():
+    d = _sparse_10000()
+    assert alpha_max(d).value == annihilation(d) == 6757
+
+
+def test_alpha_and_omega_settle_in_one_peel_at_their_start_bounds(monkeypatch):
+    from degseqopt import degree_sequence, extremal
+
+    calls = []
+    lay_off = extremal._lay_off
+    monkeypatch.setattr(
+        extremal, "_lay_off", lambda rest, demands: calls.append(1) or lay_off(rest, demands)
+    )
+    alpha_max(_sparse_10000())
+    assert len(calls) == 1
+    calls.clear()
+    omega_max(degree_sequence(random_graph(random.Random(14), 400, 0.5)))
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
