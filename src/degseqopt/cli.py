@@ -49,7 +49,8 @@ from .graphs import (
     _one_based_edges,
     witness_to_json_obj,
 )
-from .oracle import DEFAULT_ORACLE_LIMITS, GraphClass, _TABLE_MAX, iter_degree_sequences, oracle_extrema
+from .oracle import (DEFAULT_ORACLE_LIMITS, GraphClass, _TABLE_MAX, _forest_sequences,
+                     iter_degree_sequences, oracle_extrema)
 from .realize import (
     forest_realize,
     havel_hakimi_realize,
@@ -318,9 +319,9 @@ def _handle_sweep(args: argparse.Namespace):
     checked = {p: 0 for p in params}
     mismatches = {p: [] for p in params}
     for n in range(first, n_max + 1):
-        for seq in iter_degree_sequences(n, positive_only=forest):
+        for seq in _forest_sequences(n) if forest else iter_degree_sequences(n):
             d = normalize(list(seq))
-            if not (is_forest_sequence(d) if forest else is_graphic(d)):
+            if not (forest or is_graphic(d)):
                 continue
             rep = oracle_extrema(d, graph_class, limit=limit)
             for p in params:

@@ -16,8 +16,8 @@ claims read that prefix: the head is independent when every prefix edge
 ends at k or later, the tail when the prefix is the whole list; the head
 dominates when the far ends of the prefix cover k..n-1, and the tail when
 the head ends of prefix edges that reach the tail cover 0..k-1.  One
-union-find pass over the edges answers ``is_forest``, ``is_connected`` and
-``connected_components``.
+union-find pass over the edges, made on first use and kept, answers
+``is_forest``, ``is_connected`` and ``connected_components``.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ class Graph:
     ``degrees[v]`` is the degree of ``v``.
     """
 
-    __slots__ = ("n", "_edges", "degrees")
+    __slots__ = ("n", "_edges", "degrees", "_parent")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -78,6 +78,7 @@ class Graph:
         self.n = n
         self._edges = ordered
         self.degrees = tuple(degrees)
+        self._parent: list[int] | None = None  # union-find, filled on first use
 
     def degree(self, v: int) -> int:
         return self.degrees[v]
@@ -95,17 +96,20 @@ class Graph:
 
         Each union hangs the larger root under the smaller, so every parent
         is at most its child and each component's root is its least vertex.
+        The pass runs once: later calls get the same list (callers only shorten paths).
         """
-        parent = list(range(self.n))
-        for u, v in self._edges:
-            while u != parent[u]:
-                parent[u] = u = parent[parent[u]]
-            while v != parent[v]:
-                parent[v] = v = parent[parent[v]]
-            if u < v:
-                parent[v] = u
-            elif v < u:
-                parent[u] = v
+        parent = self._parent
+        if parent is None:
+            self._parent = parent = list(range(self.n))
+            for u, v in self._edges:
+                while u != parent[u]:
+                    parent[u] = u = parent[parent[u]]
+                while v != parent[v]:
+                    parent[v] = v = parent[parent[v]]
+                if u < v:
+                    parent[v] = u
+                elif v < u:
+                    parent[u] = v
         return parent
 
     def connected_components(self) -> list[list[int]]:

@@ -13,7 +13,8 @@ any degree or any earlier row, so their subtrees hold isomorphic graphs.
 The search decides only how many members of each class to take and
 weights the subtree by the product of binomials C(|class|, k); the count
 is the sum of the leaf weights, and the extrema of the three
-(isomorphism-invariant) numbers are those of the representatives.
+(isomorphism-invariant) numbers are those of the representatives.  One
+table per (class sizes, r) of those picks serves every enumeration.
 
 The extrema are built along the enumeration tree, not solved per
 realization: once a vertex has chosen its later neighbors its row is
@@ -59,20 +60,19 @@ _TABLE_MAX = 14  # subset tables are 2^n-bit integers: 2^14 bits at most
 def _tables(n: int):
     """Shared bitmap helpers for subset tables of width 2^n.
 
-    Bit s of a table stands for the vertex subset with index s.  ALLOW[b]
-    marks the subset indices whose bit b is clear; BY_SIZE[c] marks the
-    indices of popcount c; FULL is the all-ones bitmap.
+    Bit s of a table stands for the vertex subset with index s.  OWN[b]
+    marks the subset indices whose bit b is set (the subsets holding b);
+    BY_SIZE[c] marks the indices of popcount c; FULL is the all-ones bitmap.
     """
     width = 1 << n
-    allow = []
+    own = []
     for b in range(n):
-        unit = (1 << (1 << b)) - 1
-        m = unit
+        m = ((1 << (1 << b)) - 1) << (1 << b)  # indices 2^b .. 2^(b+1) - 1
         span = 1 << (b + 1)
         while span < width:
             m |= m << span
             span <<= 1
-        allow.append(m & ((1 << width) - 1))
+        own.append(m)
     by_size = [1]
     for v in range(n):
         shift = 1 << v
@@ -82,35 +82,7 @@ def _tables(n: int):
             new[c + 1] |= by_size[c] << shift
         by_size = new
     full = (1 << width) - 1
-    return allow, tuple(by_size), full
-
-
-def _subsets_avoiding(bits: int, allow: list[int], full: int) -> int:
-    """Bitmap of subset indices disjoint from ``bits``."""
-    out = full
-    while bits:
-        lb = bits & -bits
-        out &= allow[lb.bit_length() - 1]
-        bits ^= lb
-    return out
-
-
-def _smallest_member(bitmap: int, n: int) -> int:
-    """Size of the smallest subset marked in a non-empty ``bitmap``."""
-    _, by_size, _ = _tables(n)
-    for c in range(n + 1):
-        if bitmap & by_size[c]:
-            return c
-    raise AssertionError("bitmap is empty")
-
-
-def _largest_member(bitmap: int, n: int) -> int:
-    """Size of the largest subset marked in a non-empty ``bitmap``."""
-    _, by_size, _ = _tables(n)
-    for c in range(n, -1, -1):
-        if bitmap & by_size[c]:
-            return c
-    raise AssertionError("bitmap is empty")
+    return own, tuple(by_size), full
 
 
 @dataclass(frozen=True)
@@ -136,22 +108,24 @@ def _resolve_limit(graph_class: GraphClass, limit: int | None) -> int:
     return DEFAULT_ORACLE_LIMITS[graph_class] if limit is None else limit
 
 
-def _class_picks(sizes: tuple[int, ...], r: int) -> list[tuple[tuple[int, ...], int]]:
+@lru_cache(maxsize=None)
+def _class_picks(sizes: tuple[int, ...], r: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     """Every way to take ``r`` members from classes of the given sizes.
 
     The classes lie side by side in one list, in order.  Each way takes
     the first k_c members of class c and is returned as (positions taken
     in that list, prod C(sizes[c], k_c)), in descending lexicographic
     order of (k_c), so singleton classes give the order of
-    ``combinations(range(len(sizes)), r)``.
+    ``combinations(range(len(sizes)), r)``.  A tuple, cached for the process:
+    ``sweep --n-max 8`` plus every forest with n <= 14 leave 1 400 tables, 1.3 MB.
     """
     starts = list(accumulate(sizes, initial=0))
-    return [
+    return tuple(
         (tuple(p for c, k in enumerate(takes) for p in range(starts[c], starts[c] + k)),
          prod(map(comb, sizes, takes)))
         for takes in product(*(range(s, -1, -1) for s in sizes))
         if sum(takes) == r
-    ]
+    )
 
 
 def enumerate_realizations(
@@ -190,7 +164,9 @@ def enumerate_realizations(
     vertex i's row is final (it has chosen its later neighbors),
     ``fold(i, masks[i], state)`` returns the state handed to depth i+1,
     starting from ``state``, so a caller can accumulate per-row data
-    along the tree instead of recomputing it at each leaf.
+    along the tree instead of recomputing it at each leaf; on every path
+    it sees i = 0..n-1 once each, in order.  Rows already final (residual
+    0) are folded in a loop, with no recursion level of their own.
     """
     limit = _resolve_limit(graph_class, limit)
     if d.n > limit:
@@ -209,7 +185,7 @@ def enumerate_realizations(
     masks = [0] * n
     parent = list(range(n))  # union-find, no path compression (rollback)
     feasible: dict[tuple[int, ...], bool] = {}  # suffix test, by leftover degrees
-    picks: dict[tuple[tuple[int, ...], int], list] = {}  # _class_picks, memoized
+    bit = [1 << j for j in range(n)]
     count = 0
 
     def find(x: int) -> int:
@@ -217,39 +193,33 @@ def enumerate_realizations(
             x = parent[x]
         return x
 
-    def suffix_ok(i: int) -> bool:
-        rest = tuple(residual[i + 1 :])
-        ok = feasible.get(rest)
-        if ok is None:
-            if forest:
-                s = sum(rest)
-                ok = s == 0 or s <= 2 * sum(1 for x in rest if x > 0) - 2
-            else:
-                ok = _graphic_erdos_gallai(sorted(rest, reverse=True))
-            feasible[rest] = ok
-        return ok
+    def realizable(rest: tuple[int, ...]) -> bool:
+        if forest:
+            s = sum(rest)
+            return s == 0 or s <= 2 * sum(1 for x in rest if x > 0) - 2
+        return _graphic_erdos_gallai(sorted(rest, reverse=True))
 
     def rec(i: int, state, weight: int) -> None:
         nonlocal count
+        while i < n and residual[i] == 0:  # a final row: fold it in, in this frame
+            if fold is not None:
+                state = fold(i, masks[i], state)
+            i += 1
         if i == n:
             count += weight
             if visit is not None:
                 visit(masks, state)
             return
         r = residual[i]
-        if r == 0:
-            rec(i + 1, state if fold is None else fold(i, masks[i], state), weight)
-            return
         classes: dict[tuple[int, int], list[int]] = {}
         for j in range(i + 1, n):
             if residual[j] > 0:
                 classes.setdefault((entries[j], masks[j]), []).append(j)
         candidates = [j for members in classes.values() for j in members]
-        sizes = tuple(len(members) for members in classes.values())
-        ways = picks.get((sizes, r))
-        if ways is None:
-            ways = picks[sizes, r] = _class_picks(sizes, r)
-        for taken, w in ways:
+        earlier = masks[i]
+        bit_i = bit[i]
+        residual[i] = 0
+        for taken, w in _class_picks(tuple(map(len, classes.values())), r):
             chosen = [candidates[p] for p in taken]
             if forest:
                 roots = [find(x) for x in (i, *chosen)]
@@ -257,24 +227,29 @@ def enumerate_realizations(
                     continue
             for j in chosen:
                 residual[j] -= 1
-            residual[i] = 0
-            if suffix_ok(i):
+            rest = tuple(residual[i + 1 :])
+            ok = feasible.get(rest)
+            if ok is None:
+                ok = feasible[rest] = realizable(rest)
+            if ok:
+                row = earlier
                 for j in chosen:
-                    masks[i] |= 1 << j
-                    masks[j] |= 1 << i
+                    row |= bit[j]
+                    masks[j] |= bit_i
+                masks[i] = row
                 if forest:
                     for rj in roots[1:]:
                         parent[rj] = roots[0]
-                rec(i + 1, state if fold is None else fold(i, masks[i], state), weight * w)
+                rec(i + 1, state if fold is None else fold(i, row, state), weight * w)
                 for j in chosen:
-                    masks[i] &= ~(1 << j)
-                    masks[j] &= ~(1 << i)
+                    masks[j] ^= bit_i
                 if forest:
                     for rj in roots[1:]:
                         parent[rj] = rj
-            residual[i] = r
             for j in chosen:
                 residual[j] += 1
+        masks[i] = earlier
+        residual[i] = r
 
     rec(0, state, 1)
     return count
@@ -296,13 +271,14 @@ def oracle_extrema(
     j.  Each realization then reads gamma off the smallest size class of
     ``dom``, and alpha and omega off the largest size class of the
     complements of ``nonind`` and ``noncl``; no solver runs per
-    realization.  Only one realization per class of interchangeable
-    vertices is reached (see :func:`enumerate_realizations`): its three
-    numbers are those of every graph it stands for, and
-    ``realization_count`` is the weighted count, equal to the number of
-    labeled realizations.  The
-    tables need n <= 14 (``_TABLE_MAX``), so a longer sequence
-    raises ``TooLarge`` before any enumeration, whatever ``limit`` says.
+    realization.  The subsets meeting a vertex set S are memoized per call
+    (2 KiB per S at n = 14); a new S costs one OR.  Only one realization
+    per class of interchangeable vertices is reached (see
+    :func:`enumerate_realizations`): its three numbers are those of every
+    graph it stands for, and ``realization_count`` is the weighted count,
+    equal to the number of labeled realizations.  The tables need n <= 14
+    (``_TABLE_MAX``), so a longer sequence raises ``TooLarge`` before any
+    enumeration, whatever ``limit`` says.
     """
     n = d.n
     limit = _resolve_limit(graph_class, limit)
@@ -310,16 +286,16 @@ def oracle_extrema(
         raise TooLarge(f"n={n} exceeds oracle limit {limit}")
     if n > _TABLE_MAX:
         raise TooLarge(f"n={n} exceeds the oracle's subset-table limit {_TABLE_MAX}")
-    allow, _, full = _tables(n)
-    meeting: dict[int, int] = {}  # vertex mask -> bitmap of the subsets meeting it
+    own, by_size, full = _tables(n)  # own[i]: the subsets holding i
+    meeting = {0: 0}  # vertex mask -> bitmap of the subsets meeting it
 
     def meets(bits: int) -> int:
         out = meeting.get(bits)
-        if out is None:
-            out = meeting[bits] = full ^ _subsets_avoiding(bits, allow, full)
+        if out is None:  # a subset meets bits iff it meets bits - low or holds low
+            low = bits & -bits
+            out = meeting[bits] = meets(bits ^ low) | own[low.bit_length() - 1]
         return out
 
-    own = [meets(1 << i) for i in range(n)]  # own[i]: the subsets containing i
     later = [(1 << n) - (1 << (i + 1)) for i in range(n)]  # later[i]: vertices after i
 
     def fold(i: int, row: int, state: tuple[int, int, int]) -> tuple[int, int, int]:
@@ -336,12 +312,17 @@ def oracle_extrema(
     seen: set[tuple[int, int, int]] = set()  # distinct (gamma, alpha, omega)
 
     def visit(masks: list[int], state: tuple[int, int, int]) -> None:
+        # the smallest dominating set, the largest independent set and clique
         dom, nonind, noncl = state
-        seen.add((
-            _smallest_member(dom, n),
-            _largest_member(full ^ nonind, n),
-            _largest_member(full ^ noncl, n),
-        ))
+        ind, cl = full ^ nonind, full ^ noncl
+        gamma, alpha, omega = 0, n, n
+        while not dom & by_size[gamma]:
+            gamma += 1
+        while not ind & by_size[alpha]:
+            alpha -= 1
+        while not cl & by_size[omega]:
+            omega -= 1
+        seen.add((gamma, alpha, omega))
 
     count = enumerate_realizations(d, graph_class, limit, visit=visit, fold=fold,
                                    state=(full, 0, 0))
@@ -367,19 +348,32 @@ def iter_degree_sequences(
     """All non-increasing sequences of length n with entries <= max_entry.
 
     The default cap n-1 covers every graphic sequence; with
-    ``positive_only`` entries start at 1 instead of 0.
+    ``positive_only`` entries start at 1 instead of 0.  The order is
+    descending lexicographic.
     """
     cap = n - 1 if max_entry is None else max_entry
-    floor = 1 if positive_only else 0
+    yield from _sequences_within(n, cap, 1 if positive_only else 0, n * cap)
+
+
+def _forest_sequences(n: int) -> Iterator[tuple[int, ...]]:
+    """The positive forest sequences of length n, in the order of
+    ``iter_degree_sequences(n, positive_only=True)``: entries >= 1 with an
+    even sum of at most 2n - 2, generated without listing the rest."""
+    return (seq for seq in _sequences_within(n, n - 1, 1, 2 * n - 2) if sum(seq) % 2 == 0)
+
+
+def _sequences_within(n: int, cap: int, floor: int, total: int) -> Iterator[tuple[int, ...]]:
+    """Non-increasing sequences of length n, entries in floor..cap, sum <= total."""
     seq: list[int] = []
 
-    def rec(remaining: int, hi: int) -> Iterator[tuple[int, ...]]:
+    def rec(remaining: int, hi: int, room: int) -> Iterator[tuple[int, ...]]:
         if remaining == 0:
             yield tuple(seq)
             return
-        for v in range(min(hi, cap), floor - 1, -1):
+        # the remaining - 1 later entries take at least floor each
+        for v in range(min(hi, room - (remaining - 1) * floor), floor - 1, -1):
             seq.append(v)
-            yield from rec(remaining - 1, v)
+            yield from rec(remaining - 1, v, room - v)
             seq.pop()
 
-    yield from rec(n, cap)
+    yield from rec(n, cap, total)

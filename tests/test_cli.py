@@ -316,6 +316,7 @@ def test_sweep_refuses_an_n_max_that_checks_nothing(argv, monkeypatch):
         raise AssertionError("sweep enumerated sequences")
 
     monkeypatch.setattr(cli, "iter_degree_sequences", enumerate_nothing)
+    monkeypatch.setattr(cli, "_forest_sequences", enumerate_nothing)
     code, out = run_argv(["sweep", *argv])
     assert code == EXIT_PARSE and out.startswith(f"error: --n-max {argv[1]} is below ")
     code, obj = run_json(["sweep", *argv])

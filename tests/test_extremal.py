@@ -554,6 +554,21 @@ def test_forest_formulas_match_the_forest_oracle_at_n10_to_12():
         assert alpha_max_forest(d).value == rep.alpha_max, d.entries
 
 
+def test_forest_formulas_match_the_forest_oracle_on_every_positive_sequence_to_n14():
+    from degseqopt import GraphClass, oracle_extrema
+    from degseqopt.oracle import _forest_sequences
+
+    checked = 0
+    for n in range(2, 15):
+        for seq in _forest_sequences(n):
+            d = normalize(list(seq))
+            rep = oracle_extrema(d, GraphClass.FOREST, limit=14)
+            assert gamma_min_forest(d).value == rep.gamma_min, seq
+            assert alpha_max_forest(d).value == rep.alpha_max, seq
+            checked += 1
+    assert checked == 525
+
+
 # ---------------------------------------------------------------------------
 # forest formulas: bisections against the scans they replaced, and n = 10^5
 

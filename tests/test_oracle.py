@@ -1,3 +1,6 @@
+from collections import Counter
+from itertools import combinations
+
 import pytest
 from conftest import oracle_extrema_reference, realizations_reference
 
@@ -13,6 +16,7 @@ from degseqopt import (
     oracle_extrema,
     slater,
 )
+from degseqopt.oracle import _class_picks, _forest_sequences
 
 
 @pytest.mark.parametrize(
@@ -162,3 +166,71 @@ def test_oracle_extrema_rejects_sequences_beyond_the_subset_tables():
     # the enumeration alone keeps its own limit
     assert enumerate_realizations(d, GraphClass.GENERAL, limit=20) == 1
 
+
+
+def test_forest_sequences_are_the_filtered_positive_sequences_in_order():
+    for n in range(1, 10):
+        filtered = [seq for seq in iter_degree_sequences(n, positive_only=True)
+                    if is_forest_sequence(normalize(list(seq)))]
+        assert list(_forest_sequences(n)) == filtered, n
+
+
+# ---------------------------------------------------------------------------
+# the enumeration's per-node machinery: class picks and the fold order
+
+
+def class_picks_reference(sizes, r):
+    """_class_picks by brute force: every r-subset of the side-by-side
+    classes, grouped by how many members it takes from each class."""
+    owner = [c for c, s in enumerate(sizes) for _ in range(s)]
+    start = [owner.index(c) for c in range(len(sizes))]
+    weight = Counter()
+    firsts = {}
+    for combo in combinations(range(len(owner)), r):
+        takes = tuple(sum(owner[p] == c for p in combo) for c in range(len(sizes)))
+        weight[takes] += 1
+        if all(p - start[owner[p]] < takes[owner[p]] for p in combo):
+            firsts[takes] = combo
+    return tuple((firsts[takes], weight[takes]) for takes in sorted(weight, reverse=True))
+
+
+def test_class_picks_match_the_brute_force_reference():
+    for total in range(9):
+        for cuts in range(1 << max(total - 1, 0)):
+            # each composition of total into positive class sizes once
+            sizes, run = [], 1
+            for b in range(total - 1):
+                if cuts >> b & 1:
+                    sizes.append(run)
+                    run = 0
+                run += 1
+            sizes = tuple(sizes + [run]) if total else ()
+            for r in range(total + 2):
+                assert _class_picks(sizes, r) == class_picks_reference(sizes, r), (sizes, r)
+
+
+@pytest.mark.parametrize("seq", [
+    [2, 2, 2, 0, 0], [1, 1, 0], [0, 0, 0], [1, 1, 1, 1], [2, 2, 1, 1],
+    [3, 3, 2, 1, 1], [3, 2, 2, 2, 1], [4, 3, 3, 2, 2, 1, 1], [3, 3, 3, 3, 2, 2, 0],
+    [2, 1, 1, 0], [3, 2, 1, 1, 1],  # forests too
+])
+@pytest.mark.parametrize("graph_class", list(GraphClass))
+def test_fold_sees_every_row_once_and_in_order_on_every_path(seq, graph_class):
+    d = normalize(seq)
+    n = d.n
+    leaves = []
+
+    def fold(i, row, state):
+        return state + ((i, row),)
+
+    def visit(masks, state):
+        assert [i for i, _ in state] == list(range(n))
+        rows = [row for _, row in state]
+        assert rows == masks  # each folded row is final
+        assert [bin(row).count("1") for row in rows] == list(d.entries)
+        assert all((rows[j] >> i & 1) == (rows[i] >> j & 1) for i in range(n) for j in range(n))
+        leaves.append(tuple(rows))
+
+    count = enumerate_realizations(d, graph_class, visit=visit, fold=fold, state=())
+    assert (count > 0) == bool(leaves)
+    assert len(set(leaves)) == len(leaves)
