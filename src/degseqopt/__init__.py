@@ -1,121 +1,23 @@
-"""Extremal domination and independence numbers over degree-sequence realizations."""
+"""Extremal domination and independence numbers over degree-sequence realizations.
 
-from .bipartite import BipartiteDegreeSpec, build_bounded_bipartite, gale_ryser_feasible
-from .errors import (
-    DegSeqOptError,
-    Infeasible,
-    InvalidSequence,
-    InvalidWitness,
-    NotConnected,
-    NotForestSequence,
-    NotGraphic,
-    PreconditionViolated,
-    TooLarge,
-)
-from .extremal import (
-    BoundChain,
-    ExtremalParameter,
-    ExtremalResult,
-    SlaterBoundReport,
-    alpha_max,
-    alpha_max_forest,
-    bound_chain,
-    check_slater_bound,
-    gamma_min_bounded,
-    gamma_min_forest,
-    omega_max,
-)
-from .graphs import (
-    Graph,
-    RealizationWitness,
-    WitnessClaim,
-    WitnessReport,
-    degree_sequence,
-    validate_witness,
-    witness_to_json_obj,
-)
-from .oracle import (
-    DEFAULT_ORACLE_LIMITS,
-    GraphClass,
-    OracleReport,
-    enumerate_realizations,
-    iter_degree_sequences,
-    oracle_extrema,
-)
-from .realize import (
-    forest_realize,
-    havel_hakimi_realize,
-    independent_dominating_head_forest,
-    independent_tail_forest,
-)
-from .sequences import (
-    DegreeSequence,
-    annihilation,
-    is_forest_sequence,
-    is_graphic,
-    normalize,
-    parse_sequence_text,
-    slater,
-)
-from .solvers import (
-    DEFAULT_SOLVER_LIMIT,
-    clique_number,
-    domination_number,
-    independence_number,
-)
+Each module's ``__all__`` is the one list of what it exports; the package
+re-exports exactly their union.
+"""
+
+from . import bipartite, errors, extremal, graphs, oracle, realize, sequences, solvers
+from .bipartite import *
+from .errors import *
+from .extremal import *
+from .graphs import *
+from .oracle import *
+from .realize import *
+from .sequences import *
+from .solvers import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BipartiteDegreeSpec",
-    "BoundChain",
-    "DEFAULT_ORACLE_LIMITS",
-    "DEFAULT_SOLVER_LIMIT",
-    "DegSeqOptError",
-    "DegreeSequence",
-    "ExtremalParameter",
-    "ExtremalResult",
-    "Graph",
-    "GraphClass",
-    "Infeasible",
-    "InvalidSequence",
-    "InvalidWitness",
-    "NotConnected",
-    "NotForestSequence",
-    "NotGraphic",
-    "OracleReport",
-    "PreconditionViolated",
-    "RealizationWitness",
-    "SlaterBoundReport",
-    "TooLarge",
-    "WitnessClaim",
-    "WitnessReport",
-    "alpha_max",
-    "alpha_max_forest",
-    "annihilation",
-    "bound_chain",
-    "build_bounded_bipartite",
-    "check_slater_bound",
-    "clique_number",
-    "degree_sequence",
-    "domination_number",
-    "enumerate_realizations",
-    "forest_realize",
-    "gale_ryser_feasible",
-    "gamma_min_bounded",
-    "gamma_min_forest",
-    "havel_hakimi_realize",
-    "independence_number",
-    "independent_dominating_head_forest",
-    "independent_tail_forest",
-    "is_forest_sequence",
-    "is_graphic",
-    "iter_degree_sequences",
-    "normalize",
-    "omega_max",
-    "oracle_extrema",
-    "parse_sequence_text",
-    "slater",
-    "validate_witness",
-    "witness_to_json_obj",
-]
+__all__ = sorted(
+    name
+    for module in (bipartite, errors, extremal, graphs, oracle, realize, sequences, solvers)
+    for name in module.__all__
+)

@@ -18,6 +18,7 @@ from operator import gt
 
 from .errors import Infeasible, InvalidSequence
 from .graphs import Graph
+from .sequences import _integers
 
 __all__ = [
     "BipartiteDegreeSpec",
@@ -64,8 +65,8 @@ class BipartiteDegreeSpec:
 
 def _sort_side(lower, upper, side):
     """One side's bounds sorted by lower bound descending, ties in input order."""
-    lower = list(map(int, lower))
-    upper = list(map(int, upper))
+    lower = _integers(lower, f"{side} bound")
+    upper = _integers(upper, f"{side} bound")
     if len(lower) != len(upper):
         raise InvalidSequence(f"{side} lower/upper lengths differ")
     if min(lower, default=0) < 0 or min(upper, default=0) < 0:

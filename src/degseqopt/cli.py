@@ -13,7 +13,9 @@ maps its exceptions to exit codes.  The oracle size limit of ``oracle``
 and ``sweep`` is ``--limit`` if given, else 8 (general) / 9 (forest), and
 never reaches past 14 vertices; a ``--limit`` below 1 or a negative
 ``--delta-cap`` exits 1 with a message on stderr.
-A name repeated in ``sweep --params`` is checked and reported once.
+A name repeated in ``sweep --params`` is checked and reported once.  After
+each order n, ``sweep`` writes one progress line to stderr (sequences and
+mismatches so far, elapsed seconds); its stdout report is unaffected.
 
 Exit codes: 0 success, 1 parse/usage errors, 2 domain precondition
 violations (non-graphic input, infeasible spec, ...), 3 internal errors:
@@ -28,6 +30,7 @@ import argparse
 import json
 import os
 import sys
+import time
 from pathlib import Path
 
 from . import extremal, oracle
@@ -318,16 +321,22 @@ def _handle_sweep(args: argparse.Namespace):
 
     checked = {p: 0 for p in params}
     mismatches = {p: [] for p in params}
+    sequences = 0
+    start = time.perf_counter()
     for n in range(first, n_max + 1):
         for seq in _forest_sequences(n) if forest else iter_degree_sequences(n):
             d = normalize(list(seq))
             if not (forest or is_graphic(d)):
                 continue
+            sequences += 1
             rep = oracle_extrema(d, graph_class, limit=limit)
             for p in params:
                 checked[p] += 1
                 if not checks[p](d, rep):
                     mismatches[p].append(list(seq))
+        print(f"sweep: n={n} sequences={sequences} "
+              f"mismatches={sum(map(len, mismatches.values()))} "
+              f"elapsed={time.perf_counter() - start:.2f}s", file=sys.stderr, flush=True)
     ok = all(not m for m in mismatches.values())
     payload = {
         "graph_class": graph_class.value,

@@ -1,5 +1,17 @@
 """Exception hierarchy shared by all modules."""
 
+__all__ = [
+    "DegSeqOptError",
+    "InvalidSequence",
+    "NotGraphic",
+    "NotForestSequence",
+    "PreconditionViolated",
+    "TooLarge",
+    "Infeasible",
+    "NotConnected",
+    "InvalidWitness",
+]
+
 
 class DegSeqOptError(Exception):
     """Base class for all domain errors raised by this package."""

@@ -1,14 +1,16 @@
 """Degree-sequence data model, graphicality tests, and sequence-level bounds.
 
 A degree sequence is stored sorted non-increasing together with the
-permutation back to the caller's order.  Normalizing is one stable C-level
-sort, and validation re-checks the order with one pairwise ``map`` over the
-entries, so reading a sequence costs about as much as the sort.  On top of
-the data model this
-module provides the two classical realizability predicates (simple graph,
-forest) and the two sequence-level bounds used throughout the package:
-the Slater number (a lower bound on the domination number of every
-realization) and the annihilation number (an upper bound on the
+permutation back to the caller's order.  Entries must be integers:
+normalizing converts them with ``operator.index``, so floats and strings
+are refused instead of truncated or parsed (text is parsed by
+``parse_sequence_text``).  Normalizing is then one stable C-level sort, and
+validation re-checks the order with one pairwise ``map`` over the entries,
+so reading a sequence costs about as much as the sort.  On top of the data
+model this module provides the two classical realizability predicates
+(simple graph, forest) and the two sequence-level bounds used throughout
+the package: the Slater number (a lower bound on the domination number of
+every realization) and the annihilation number (an upper bound on the
 independence number of every realization).  Both are found by bisection
 over the cached prefix sums, in O(log n) once those exist.
 """
@@ -20,7 +22,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, islice
-from operator import ge, neg
+from operator import ge, index, neg
 from typing import Iterable, Sequence
 
 from .errors import InvalidSequence
@@ -110,16 +112,32 @@ class DegreeSequence:
         return DegreeSequence(self.entries[:p], tuple(range(p)))
 
 
+def _integers(raw: Iterable[int], what: str = "entry") -> list[int]:
+    """``raw`` as a list of ints, converted with ``operator.index``.
+
+    Ints and bools pass; floats (2.0 included), strings and other
+    non-integers raise InvalidSequence naming the first of them.
+    """
+    values = list(raw)
+    try:
+        return list(map(index, values))
+    except TypeError:
+        bad = next(v for v in values if not hasattr(type(v), "__index__"))
+        raise InvalidSequence(f"{what} {bad!r} is not an integer") from None
+
+
 def normalize(raw: Iterable[int]) -> DegreeSequence:
     """Sort a raw list of degrees non-increasing, recording the permutation.
 
-    Entries only need to be non-negative integers here; upper-bound checks
-    (entry <= n-1) belong to graphicality, not to normalization.  Idempotent
-    on already-sorted input.  Equal entries keep their input order: a
-    reverse sort is stable in Python, so the order is the ascending sort by
-    (-value, position).
+    Entries must be non-negative integers, checked with ``operator.index``:
+    ints and bools pass, while floats (2.0 included) and strings raise
+    InvalidSequence rather than being truncated or parsed.  Upper-bound
+    checks (entry <= n-1) belong to graphicality, not to normalization.
+    Idempotent on already-sorted input.  Equal entries keep their input
+    order: a reverse sort is stable in Python, so the order is the
+    ascending sort by (-value, position).
     """
-    values = list(map(int, raw))
+    values = _integers(raw)
     if not values:
         raise InvalidSequence("degree sequence must be non-empty")
     if min(values) < 0:

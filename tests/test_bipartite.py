@@ -59,6 +59,18 @@ def test_spec_validation():
         BipartiteDegreeSpec.create([-1], [1], [1], [1])
 
 
+@pytest.mark.parametrize("bounds, message", [
+    (([1.5], [2], [1], [1]), "left bound 1.5 is not an integer"),
+    (([1], [2.0], [1], [1]), "left bound 2.0 is not an integer"),
+    (([1], [2], ["1"], [1]), "right bound '1' is not an integer"),
+    (([1], [2], [1], [1, "x"]), "right bound 'x' is not an integer"),
+])
+def test_spec_rejects_non_integer_bounds(bounds, message):
+    # no truncation: a lower bound of 1.5 once became 1
+    with pytest.raises(InvalidSequence, match=f"^{message}$"):
+        BipartiteDegreeSpec.create(*bounds)
+
+
 def test_lower_bounds_sorted_with_uppers_attached():
     spec = BipartiteDegreeSpec.create([1, 3], [2, 3], [0, 2], [1, 2])
     assert spec.lower_left == (3, 1)

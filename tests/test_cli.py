@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -257,6 +258,24 @@ def test_gamma_min_on_a_fast_large_degree_input_writes_nothing_to_stderr():
     assert proc.stderr == ""
 
 
+def test_sweep_reports_progress_on_stderr_only():
+    proc = run_cli_process(["sweep", "--n-max", "5"])
+    assert proc.returncode == EXIT_OK
+    assert proc.stdout == ("param=alpha_max checked=49 mismatches=0\n"
+                           "param=gamma_min checked=49 mismatches=0\n"
+                           "param=omega_max checked=49 mismatches=0\nok=true\n")
+    lines = proc.stderr.splitlines()
+    # one line per order n: sequences checked and mismatches so far, elapsed seconds
+    pattern = r"sweep: n=(\d+) sequences=(\d+) mismatches=0 elapsed=\d+\.\d\ds"
+    progress = [re.fullmatch(pattern, line) for line in lines]
+    assert all(progress), lines
+    assert [(int(m[1]), int(m[2])) for m in progress] == [(1, 1), (2, 3), (3, 7), (4, 18), (5, 49)]
+    # --json leaves stdout the same report as before, in JSON
+    proc_json = run_cli_process(["sweep", "--n-max", "5", "--json"])
+    assert proc_json.stdout == run_argv(["sweep", "--n-max", "5", "--json"])[1] + "\n"
+    assert len(proc_json.stderr.splitlines()) == 5
+
+
 def test_oracle_limit_env_var():
     proc = run_cli_process(["sweep", "--n-max", "6", "--limit", "5"])
     assert proc.returncode == EXIT_PARSE
@@ -446,13 +465,14 @@ def test_zero_entry_sequences_through_the_cli():
 
 
 def _assert_cli_forest_witnesses(seq):
-    from degseqopt import Graph, RealizationWitness, WitnessClaim, normalize, validate_witness
+    from degseqopt import (Graph, RealizationWitness, WitnessClaim, normalize,
+                           parse_sequence_text, validate_witness)
     from degseqopt.graphs import _json_graph_parts
 
     code, obj = run_json(["realize", "forest", seq])
     assert code == EXIT_OK
     g = Graph(*_json_graph_parts(obj))
-    assert g.is_forest() and g.degrees == normalize(seq.split(",")).entries
+    assert g.is_forest() and g.degrees == parse_sequence_text(seq).entries
 
     code, obj = run_json(["forest", "alpha-max", seq, "--witness"])
     assert code == EXIT_OK

@@ -1,3 +1,5 @@
+import importlib
+import pkgutil
 import random
 import re
 
@@ -157,6 +159,24 @@ def test_public_surface_is_pinned():
     assert not hasattr(degseqopt.solvers, "_TABLE_MAX")
     # the graph is its edge list: the views tests need live in conftest
     assert not {"has_edge", "__eq__", "__hash__", "adjacency_sets"} & set(Graph.__dict__)
+
+
+def test_public_surface_is_declared_once_by_the_modules():
+    # each module's __all__ says what it exports; the package re-exports
+    # exactly their union, each name bound to the module's own object
+    modules = [importlib.import_module(f"degseqopt.{info.name}")
+               for info in pkgutil.iter_modules(degseqopt.__path__)
+               if info.name not in ("cli", "__main__")]
+    assert not [module.__name__ for module in modules if not hasattr(module, "__all__")]
+    declared = [name for module in modules for name in module.__all__]
+    assert len(set(declared)) == len(declared)
+    assert sorted(degseqopt.__all__) == sorted(declared)
+    assert len(set(degseqopt.__all__)) == len(degseqopt.__all__)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(degseqopt, name) is getattr(module, name), (module, name)
+            owner = getattr(getattr(module, name), "__module__", module.__name__)
+            assert owner == module.__name__, (module, name)
 
 
 # ---------------------------------------------------------------------------

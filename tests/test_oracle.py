@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter
 from itertools import combinations
 
@@ -143,6 +144,25 @@ def test_forest_oracle_extrema_match_the_reference_at_n8():
     for seq in iter_degree_sequences(8):
         if is_forest_sequence(normalize(list(seq))):
             _assert_matches_reference(seq, GraphClass.FOREST)
+
+
+def test_general_oracle_extrema_at_n8_are_pinned():
+    # every graphic sequence with n = 8, pinned by the digest the oracle
+    # gave when the leaf-solving reference still checked it (above, n <= 7)
+    digest = hashlib.sha256()
+    graphic = 0
+    for seq in iter_degree_sequences(8):
+        d = normalize(list(seq))
+        if not is_graphic(d):
+            continue
+        graphic += 1
+        rep = oracle_extrema(d, GraphClass.GENERAL)
+        row = (tuple(seq), rep.realization_count, rep.gamma_min, rep.gamma_max,
+               rep.alpha_min, rep.alpha_max, rep.omega_min, rep.omega_max)
+        digest.update(repr(row).encode() + b"\n")
+    assert graphic == 1213
+    assert digest.hexdigest() == (
+        "cd9da31802ee4403f072ca411d9a2906fa9e44b653d7f19e45f1962c1526aeaa")
 
 
 @pytest.mark.parametrize("seq", [(4,) * 8, (3,) * 8])

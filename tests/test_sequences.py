@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -40,6 +42,24 @@ def test_normalize_rejects_empty():
 def test_normalize_rejects_negative():
     with pytest.raises(InvalidSequence):
         normalize([2, -1])
+
+
+@pytest.mark.parametrize("raw, bad", [
+    ([1.7, 1.2], "1.7"),
+    ([2.0, 2, 2], "2.0"),
+    ([2, "2", 2], "'2'"),
+    (["2", "2", "2"], "'2'"),
+    ([1, 1, None], "None"),
+])
+def test_normalize_rejects_non_integer_entries(raw, bad):
+    # no truncation: [1.7, 1.2] once became the graphic (1, 1)
+    with pytest.raises(InvalidSequence, match=f"^entry {re.escape(bad)} is not an integer$"):
+        normalize(raw)
+
+
+def test_normalize_accepts_bools_as_integers():
+    assert normalize([True, True, False]).entries == (1, 1, 0)
+    assert normalize(iter([2, 1, 1])).entries == (2, 1, 1)
 
 
 def test_normalize_accepts_entries_at_least_n():
