@@ -7,21 +7,26 @@ and clique numbers over that class.  This is the oracle the closed
 formulas and profile scans are validated against.
 
 The enumeration visits one representative per class of interchangeable
-vertices.  When vertex i picks its later neighbors, two candidates with
-the same degree and the same row so far can be swapped without changing
-any degree or any earlier row, so their subtrees hold isomorphic graphs.
-The search decides only how many members of each class to take and
-weights the subtree by the product of binomials C(|class|, k); the count
-is the sum of the leaf weights, and the extrema of the three
-(isomorphism-invariant) numbers are those of the representatives.  One
-table per (class sizes, r) of those picks serves every enumeration.
+vertices.  Two open vertices (some degree still unplaced) with the same
+degree and the same row so far can be swapped without changing any degree
+or any decided row, so their subtrees hold isomorphic graphs.  At each
+node one open vertex picks all of its remaining neighbors; the search
+decides only how many members of each class to take and weights the
+subtree by the product of binomials C(|class|, k); the count is the sum
+of the leaf weights, and the extrema of the three (isomorphism-invariant)
+numbers are those of the representatives.  One table per (class sizes, r)
+of those picks serves every enumeration.  The vertex that picks is the
+first member of the smallest class, the most constrained choice, as in
+isomorph-rejecting enumeration (McKay, "Isomorph-free exhaustive
+generation", J. Algorithms 26, 1998): large classes then stay whole for
+longer, which cuts the representatives of 6,6,6,5,5,5,5,5,4,3 from
+169 323 (the lowest open vertex picking) to 21 522.
 
 The extrema are built along the enumeration tree, not solved per
-realization: once a vertex has chosen its later neighbors its row is
-final, and its closed neighborhood, its edges and its non-edges are folded
-into three 2^n-bit subset bitmaps handed down the recursion.  Each
-realization then reads its three numbers off those bitmaps, which caps
-the oracle at n <= 14.  The subset tables are this module's own: the
+realization: once the rows of vertices 0..i are final, row i's closed
+neighborhood, edges and non-edges are folded into three 2^n-bit subset
+bitmaps handed down the recursion.  Each realization then reads its three
+numbers off those bitmaps, which caps the oracle at n <= 14.  The subset tables are this module's own: the
 exact solvers in ``solvers`` run branch and bound instead.
 """
 
@@ -52,6 +57,16 @@ class GraphClass(enum.Enum):
     FOREST = "forest"
 
 
+# Measured ladder, general class (2-vCPU VM, one process, single runs):
+#   sweep --n-max 8                          0.8 s in-process, 0.4-0.5 s of it oracle
+#   sweep --n-max 9 --limit 9                13-15 s; the oracle on n = 9 alone 7.1 s
+#   sweep --n-max 10 --limit 10              6 min 8 s, 22 083 sequences
+#   oracle 6,6,6,5,5,5,5,5,4,3 --limit 10    0.4 s, 21 522 representatives
+#   oracle 7,6,5,5,5,5,4,4,4,3 --limit 10    0.8 s, 53 231 representatives
+#   oracle 8,7,6,6,5,5,4,4,4,4,3 --limit 11  28 s, 1 700 803 representatives
+# The forest class takes 1.1 s for all 525 positive sequences with n <= 14.
+# Raising a default turns exit 2 into an answer for the sizes it adds, so the
+# defaults stay where they were set until a stated budget picks new ones.
 DEFAULT_ORACLE_LIMITS = {GraphClass.GENERAL: 8, GraphClass.FOREST: 9}
 _TABLE_MAX = 14  # subset tables are 2^n-bit integers: 2^14 bits at most
 
@@ -117,7 +132,8 @@ def _class_picks(sizes: tuple[int, ...], r: int) -> tuple[tuple[tuple[int, ...],
     in that list, prod C(sizes[c], k_c)), in descending lexicographic
     order of (k_c), so singleton classes give the order of
     ``combinations(range(len(sizes)), r)``.  A tuple, cached for the process:
-    ``sweep --n-max 8`` plus every forest with n <= 14 leave 1 400 tables, 1.3 MB.
+    ``sweep --n-max 8`` plus every forest with n <= 14 leave 1 194 tables,
+    0.8 MB by ``tracemalloc``.
     """
     starts = list(accumulate(sizes, initial=0))
     return tuple(
@@ -139,34 +155,42 @@ def enumerate_realizations(
 ) -> int:
     """Count the positional realizations of ``d``, weighted over classes.
 
-    Backtracks over vertices in the sorted (non-increasing) order,
-    choosing each vertex's neighbors among the later vertices.  Branches
-    are pruned by a graphicality test on the leftover degrees (forest
-    test plus incremental acyclicity for the forest class).  The visit
-    order and the count are deterministic.
+    Backtracks over the vertices of the sorted (non-increasing) sequence.
+    At each node one open vertex p (residual degree > 0) picks all of its
+    remaining neighbors among the other open vertices, which makes its row
+    final.  Branches are pruned by a graphicality test on the leftover
+    degrees (forest test plus incremental acyclicity for the forest
+    class), memoized per call by their multiset: all n residuals sorted
+    non-increasing (a final row adds a zero), handed to Erdos-Gallai as
+    they are, so equal multisets at different positions and depths share
+    one test.  The visit order and the count are deterministic.
 
-    When vertex i picks its later neighbors, the candidates j > i are
-    grouped into classes: j and j' share a class when d_j = d_j' and
-    their rows so far agree (``masks[j] == masks[j']``; those rows hold
-    only vertices below i).  Swapping j and j' keeps every degree and
-    rows 0..i-1, so it maps the completions after one choice one-to-one
-    onto the completions after the swapped choice, each to an isomorphic
-    graph (a forest exactly when the other is).  The loop therefore
-    takes, per class, only how many members to pick (always the first
-    ones), and weights the subtree by prod C(|class|, k); the returned
-    count sums the leaf weights, which is the number of labeled
-    realizations.  Every extremum of an isomorphism invariant is
-    unchanged.
+    The open vertices are grouped into classes: j and j' share a class
+    when d_j = d_j' and their rows so far agree (``masks[j] ==
+    masks[j']``).  Those rows hold only vertices whose rows are decided,
+    since an edge is placed only by a vertex that closes its row as it
+    picks; the decided rows need not be a prefix.  Swapping j and j'
+    keeps every degree and every decided row (such a row holds both or
+    neither), so it maps the completions after one choice one-to-one onto
+    the completions after the swapped choice, each to an isomorphic graph
+    (a forest exactly when the other is).  The picker p is the first
+    member of the smallest class (ties: the larger residual, then the
+    lower index); the loop takes, per class of the remaining candidates,
+    only how many members to pick (always the first ones), and weights
+    the subtree by prod C(|class|, k); the returned count sums the leaf
+    weights, which is the number of labeled realizations.  Every extremum
+    of an isomorphism invariant is unchanged.
 
     ``visit``, ``fold`` and ``state`` are keyword-only hooks over
     per-vertex neighbor bitmasks.  ``visit(masks, state)`` receives each
-    reached representative (a live list: read it before returning).  When
-    vertex i's row is final (it has chosen its later neighbors),
-    ``fold(i, masks[i], state)`` returns the state handed to depth i+1,
-    starting from ``state``, so a caller can accumulate per-row data
-    along the tree instead of recomputing it at each leaf; on every path
-    it sees i = 0..n-1 once each, in order.  Rows already final (residual
-    0) are folded in a loop, with no recursion level of their own.
+    reached representative (a live list: read it before returning).
+    ``fold(i, masks[i], state)`` returns the state handed on, starting
+    from ``state``, so a caller can accumulate per-row data along the tree
+    instead of recomputing it at each leaf; on every path it sees
+    i = 0..n-1 once each, in order, each row final.  Each node first folds
+    the rows from the lowest unfolded index up to the first open vertex,
+    in a loop with no recursion level of its own, so a row picked out of
+    order waits until every lower row is final.
     """
     limit = _resolve_limit(graph_class, limit)
     if d.n > limit:
@@ -193,11 +217,11 @@ def enumerate_realizations(
             x = parent[x]
         return x
 
-    def realizable(rest: tuple[int, ...]) -> bool:
+    def realizable(rest: tuple[int, ...]) -> bool:  # rest: non-increasing
         if forest:
             s = sum(rest)
             return s == 0 or s <= 2 * sum(1 for x in rest if x > 0) - 2
-        return _graphic_erdos_gallai(sorted(rest, reverse=True))
+        return _graphic_erdos_gallai(rest)
 
     def rec(i: int, state, weight: int) -> None:
         nonlocal count
@@ -210,24 +234,28 @@ def enumerate_realizations(
             if visit is not None:
                 visit(masks, state)
             return
-        r = residual[i]
         classes: dict[tuple[int, int], list[int]] = {}
-        for j in range(i + 1, n):
+        for j in range(i, n):
             if residual[j] > 0:
                 classes.setdefault((entries[j], masks[j]), []).append(j)
-        candidates = [j for members in classes.values() for j in members]
-        earlier = masks[i]
-        bit_i = bit[i]
-        residual[i] = 0
-        for taken, w in _class_picks(tuple(map(len, classes.values())), r):
-            chosen = [candidates[p] for p in taken]
+        # the picker: the first member of the smallest class; ties go to the larger
+        # residual, then to the lower index
+        p = min(classes.values(), key=lambda c: (len(c), -residual[c[0]])).pop(0)
+        groups = [members for members in classes.values() if members]
+        candidates = [j for members in groups for j in members]
+        r = residual[p]
+        earlier = masks[p]
+        bit_p = bit[p]
+        residual[p] = 0
+        for taken, w in _class_picks(tuple(map(len, groups)), r):
+            chosen = [candidates[q] for q in taken]
             if forest:
-                roots = [find(x) for x in (i, *chosen)]
+                roots = [find(x) for x in (p, *chosen)]
                 if len(set(roots)) <= r:  # an edge would close a cycle
                     continue
             for j in chosen:
                 residual[j] -= 1
-            rest = tuple(residual[i + 1 :])
+            rest = tuple(sorted(residual, reverse=True))
             ok = feasible.get(rest)
             if ok is None:
                 ok = feasible[rest] = realizable(rest)
@@ -235,21 +263,21 @@ def enumerate_realizations(
                 row = earlier
                 for j in chosen:
                     row |= bit[j]
-                    masks[j] |= bit_i
-                masks[i] = row
+                    masks[j] |= bit_p
+                masks[p] = row
                 if forest:
                     for rj in roots[1:]:
                         parent[rj] = roots[0]
-                rec(i + 1, state if fold is None else fold(i, row, state), weight * w)
+                rec(i, state, weight * w)
                 for j in chosen:
-                    masks[j] ^= bit_i
+                    masks[j] ^= bit_p
                 if forest:
                     for rj in roots[1:]:
                         parent[rj] = rj
             for j in chosen:
                 residual[j] += 1
-        masks[i] = earlier
-        residual[i] = r
+        masks[p] = earlier
+        residual[p] = r
 
     rec(0, state, 1)
     return count

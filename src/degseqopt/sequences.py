@@ -4,10 +4,12 @@ A degree sequence is stored sorted non-increasing together with the
 permutation back to the caller's order.  Entries must be integers:
 normalizing converts them with ``operator.index``, so floats and strings
 are refused instead of truncated or parsed (text is parsed by
-``parse_sequence_text``).  Normalizing is then one stable C-level sort, and
-validation re-checks the order with one pairwise ``map`` over the entries,
-so reading a sequence costs about as much as the sort.  On top of the data
-model this module provides the two classical realizability predicates
+``parse_sequence_text``).  Normalizing is then one stable C-level sort,
+whose result is valid by construction and skips the constructor's checks,
+so reading a sequence costs about as much as the sort.  The constructor
+converts its fields by the same rule and checks the order with one
+pairwise ``map`` over the entries.  On top of the data model this module
+provides the two classical realizability predicates
 (simple graph, forest) and the two sequence-level bounds used throughout
 the package: the Slater number (a lower bound on the domination number of
 every realization) and the annihilation number (an upper bound on the
@@ -52,15 +54,29 @@ class DegreeSequence:
     original_order: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        entries = self.entries
+        # both fields are converted by the ``normalize`` rule: ints and bools
+        # pass, other values raise InvalidSequence instead of a TypeError later
+        entries = tuple(_integers(self.entries))
+        order = tuple(_integers(self.original_order, "original_order entry"))
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "original_order", order)
         if not entries:
             raise InvalidSequence("degree sequence must be non-empty")
         if not all(map(ge, entries, islice(entries, 1, None))):
             raise InvalidSequence("entries must be non-increasing")
         if entries[-1] < 0:
             raise InvalidSequence("entries must be non-negative")
-        if sorted(self.original_order) != list(range(len(entries))):
+        if sorted(order) != list(range(len(entries))):
             raise InvalidSequence("original_order must be a permutation")
+
+    @classmethod
+    def _checked(cls, entries: tuple[int, ...], original_order: tuple[int, ...]) -> "DegreeSequence":
+        """An instance of fields that are already ints and already valid,
+        built without ``__post_init__`` so that they are not converted twice."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "original_order", original_order)
+        return self
 
     @property
     def n(self) -> int:
@@ -109,7 +125,7 @@ class DegreeSequence:
         p = self.positive_count
         if p == 0:
             return None
-        return DegreeSequence(self.entries[:p], tuple(range(p)))
+        return DegreeSequence._checked(self.entries[:p], tuple(range(p)))
 
 
 def _integers(raw: Iterable[int], what: str = "entry") -> list[int]:
@@ -143,10 +159,8 @@ def normalize(raw: Iterable[int]) -> DegreeSequence:
     if min(values) < 0:
         raise InvalidSequence(f"negative entry in {values}")
     order = sorted(range(len(values)), key=values.__getitem__, reverse=True)
-    return DegreeSequence(
-        entries=tuple(map(values.__getitem__, order)),
-        original_order=tuple(order),
-    )
+    # sorted ints and their permutation: valid by construction, converted once
+    return DegreeSequence._checked(tuple(map(values.__getitem__, order)), tuple(order))
 
 
 def parse_sequence_text(text: str) -> DegreeSequence:

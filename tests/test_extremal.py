@@ -535,7 +535,7 @@ def test_general_formulas_match_the_oracle_at_n10():
     from degseqopt import degree_sequence, oracle_extrema
 
     rng = random.Random(1981)
-    for _ in range(20):  # most answer in milliseconds, mid-density ones in seconds
+    for _ in range(60):  # most answer in milliseconds, mid-density ones in up to a second
         d = degree_sequence(random_graph(rng, 10, rng.random()))
         rep = oracle_extrema(d, limit=10)
         assert gamma_min_bounded(d).value == rep.gamma_min, d.entries

@@ -8,12 +8,15 @@ from conftest import oracle_extrema_reference, realizations_reference
 from degseqopt import (
     GraphClass,
     TooLarge,
+    alpha_max,
     annihilation,
     enumerate_realizations,
+    gamma_min_bounded,
     is_forest_sequence,
     is_graphic,
     iter_degree_sequences,
     normalize,
+    omega_max,
     oracle_extrema,
     slater,
 )
@@ -175,6 +178,37 @@ def test_regular_n8_oracle_extrema_match_the_reference(seq):
 def test_regular_n10_counts_match_the_published_values(r, count):
     # labeled r-regular graphs on 10 vertices: OEIS A002829 (r = 3), A005815 (r = 4)
     assert oracle_extrema(normalize([r] * 10), limit=10).realization_count == count
+
+
+WORST_N10 = [  # count, then gamma, alpha, omega min and max
+    ((6, 6, 6, 5, 5, 5, 5, 5, 4, 3), 13_088_170, (2, 3, 3, 5, 3, 5)),
+    ((7, 6, 5, 5, 5, 5, 4, 4, 4, 3), 6_842_952, (2, 3, 2, 5, 3, 6)),
+]
+
+
+@pytest.mark.parametrize("seq, count, extrema", WORST_N10)
+def test_slowest_n10_sequences_are_pinned_and_match_the_formulas(seq, count, extrema):
+    d = normalize(list(seq))
+    rep = oracle_extrema(d, limit=10)
+    assert rep.realization_count == count
+    assert (rep.gamma_min, rep.gamma_max, rep.alpha_min, rep.alpha_max,
+            rep.omega_min, rep.omega_max) == extrema
+    assert gamma_min_bounded(d).value == rep.gamma_min
+    assert alpha_max(d).value == rep.alpha_max
+    assert omega_max(d).value == rep.omega_max
+
+
+def test_branching_on_the_smallest_class_keeps_the_n10_search_small():
+    # letting the lowest open vertex pick reaches 169 323 representatives here
+    leaves = 0
+
+    def visit(masks, state):
+        nonlocal leaves
+        leaves += 1
+
+    seq, count, _ = WORST_N10[0]
+    assert enumerate_realizations(normalize(list(seq)), limit=10, visit=visit) == count
+    assert leaves <= 25_000
 
 
 def test_oracle_extrema_rejects_sequences_beyond_the_subset_tables():

@@ -211,6 +211,23 @@ def test_degree_sequence_invariants_enforced():
         DegreeSequence((2, 1), (0, 0))  # bad permutation
 
 
+@pytest.mark.parametrize("entries, order, message", [
+    ((1.7, 1.2), (0, 1), "entry 1.7 is not an integer"),  # once taken, then a TypeError
+    (("2", "1"), (0, 1), "entry '2' is not an integer"),
+    ((2, 1), (0.0, 1), "original_order entry 0.0 is not an integer"),
+    ((2, 1), (0, None), "original_order entry None is not an integer"),
+])
+def test_degree_sequence_rejects_non_integer_entries_and_orders(entries, order, message):
+    with pytest.raises(InvalidSequence, match=f"^{re.escape(message)}$"):
+        DegreeSequence(entries, order)
+
+
+def test_degree_sequence_converts_bools_to_ints():
+    d = DegreeSequence((True, False), (False, True))
+    assert d.entries == (1, 0) and d.original_order == (0, 1)
+    assert all(type(x) is int for x in d.entries + d.original_order)
+
+
 def test_positive_part():
     d = normalize([2, 1, 0, 0])
     pos = d.positive_part()
