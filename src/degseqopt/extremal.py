@@ -10,9 +10,9 @@ Computes, for a graphic sequence d:
   scanning split sizes k upward from the Slater number to p // 2, p the
   number of positive entries (Ore: gamma <= n/2 without isolated
   vertices), and, for each k, the cross-edge totals upward: for each
-  total, the cross-degree profiles (bounded by the maximum degree) with
-  that sum are enumerated and tested for whether the head part, tail
-  part, and connecting bipartite graph all exist;
+  total, the cross-degree profiles spreading each run of equal degrees
+  evenly are enumerated and tested for whether the head part, tail part,
+  and connecting bipartite graph all exist (majorization makes it exact);
 * gamma_min_forest(d), alpha_max_forest(d): closed formulas over forest
   realizations, with constructive witnesses attached;
 * the domination bound check gamma(G) <= 3*slater + 2*(cycle excess) - 2
@@ -28,7 +28,7 @@ import enum
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, repeat
+from itertools import accumulate, groupby
 from operator import sub
 
 from .bipartite import _greedy_edges, _overflow
@@ -235,55 +235,44 @@ def _graphic_cached(entries: tuple[int, ...]) -> bool:
     return _graphic_erdos_gallai(entries)
 
 
-def _profile_room(caps: list[int]) -> list[list[int]]:
-    """room[v][i]: the sum of min(v, pm[j]) over j >= i, for v = 0..pm[0].
+def _even_profiles(runs: list[tuple[int, int]], total: int):
+    """Profiles of sum ``total`` that spread each run evenly, largest first.
 
-    pm is the prefix minimum of ``caps``.  One suffix-sum list per value,
-    each from C-level passes; built once per side and split, and shared by
-    every total the scan asks ``_profiles_with_sum`` for.  Needs at least
-    one cap.
+    ``runs`` lists (size, cap) for the runs of equal entries of one side,
+    caps non-increasing.  A run of size s takes a total t in [s, s * cap]:
+    its first t mod s members get t // s + 1 and the rest t // s.  Its
+    largest entry may not exceed the previous run's smallest, q, so each
+    profile is non-increasing.  Run totals are tried largest first, run by
+    run, so profiles come in lexicographically descending order.  A total
+    is kept only while the later runs can take the rest: at least one per
+    vertex, at most size * min(cap, q) per run.  Needs at least one run.
     """
-    pm = list(accumulate(caps, min))
-    room = []
-    for v in range(pm[0] + 1):
-        row = list(accumulate(map(min, repeat(v), reversed(pm)), initial=0))
-        row.reverse()
-        room.append(row)
-    return room
-
-
-def _profiles_with_sum(caps: list[int], room: list[list[int]], total: int):
-    """Non-increasing positive sequences with v_i <= caps[i] summing to ``total``.
-
-    Yields them in lexicographically descending order.  Entry i is at most
-    pm[i], the prefix minimum of ``caps``; a value v for it is tried only
-    while the positions after it can still take the rest of the sum: at
-    least one each, and at most room[v][i + 1], the sum of min(v, pm[j])
-    over j > i, from ``room = _profile_room(caps)``.  Every branch entered
-    therefore yields a profile.  Needs at least one cap.
-    """
-    n = len(caps)
-    top = len(room) - 1  # pm[0]
-    if not n <= total <= room[top][0]:
-        return
-    seq: list[int] = []
-    rest, v = total, min(top, total - n + 1)
+    n = len(runs)
+    after = [0] * (n + 1)  # vertices in runs i on
+    for i in range(n - 1, -1, -1):
+        after[i] = after[i + 1] + runs[i][0]
+    s, c = runs[0]
+    prof, kept, rest, t = [], [], total, min(s * c, total - after[1])
     while True:
-        i = len(seq)
-        if v >= 1 and v + room[v][i + 1] >= rest:
-            if i + 1 == n:
-                yield (*seq, v)
-                v -= 1
-                continue
-            seq.append(v)
-            rest -= v
-            v = min(v, caps[i + 1], rest - (n - i - 2))
+        i = len(kept)
+        s = runs[i][0]
+        q, r = divmod(t, s)
+        if i + 1 == n:
+            if s <= t == rest:
+                yield prof + [q + 1] * r + [q] * (s - r)
+        elif t >= s and rest - t <= sum(z * min(x, q) for z, x in runs[i + 1 :]):
+            kept.append(t)
+            prof += [q + 1] * r + [q] * (s - r)
+            rest -= t
+            z, x = runs[i + 1]
+            t = min(z * min(x, q), rest - after[i + 2])
             continue
-        if not seq:
+        if not kept:
             return
-        v = seq.pop()
-        rest += v
-        v -= 1
+        t = kept.pop()  # lower the last kept total by one
+        del prof[len(prof) - runs[i - 1][0] :]
+        rest += t
+        t -= 1
 
 
 def _split_feasible(pos: DegreeSequence, k: int):
@@ -292,33 +281,38 @@ def _split_feasible(pos: DegreeSequence, k: int):
     A profile fixes how many edges each vertex sends across the split.
     Feasibility needs graphic leftovers on both sides plus an exact-degree
     bipartite graph between them; the two profile sums must agree since
-    both count the cross edges.  Each side's reachable sums form the
-    interval [len, sum of prefix-minimum caps] (lowering the last entry
-    above 1 steps down by one), so the scan walks the common totals in
-    increasing order and enumerates only the profiles of the current one.
-    Needs 1 <= k <= p/2, so both sides are non-empty and the tail, of
-    length p - k, is the longer.
+    both count the cross edges.  The scan walks the common totals upward
+    and lists only the profiles spreading each run of equal entries
+    evenly, with caps min(x, p - k) on the head and min(x, k) on the tail.
+
+    This is exact.  Take two vertices of one run whose cross counts differ
+    by 2 or more, and move one cross edge from the larger to the smaller.
+    That flattens both the profile and that side's leftover, and the
+    profile keeps its caps and its floor of 1.  Erdos-Gallai (Ruch-Gutman
+    1979) and Gale-Ryser both hold for anything majorized by a passing
+    vector, and conjugation reverses dominance.  So whenever some profile
+    of a total works, an evenly spread one works too.  Needs 1 <= k <= p/2,
+    so both sides are non-empty and the tail, of length p - k, is the longer.
     """
     p = pos.n
     head, tail = pos.entries[:k], pos.entries[k:]
-    head_caps = [min(x, p - k) for x in head]
-    tail_caps = [min(x, k) for x in tail]
-    head_room, tail_room = _profile_room(head_caps), _profile_room(tail_caps)
+    head_runs = [(len(list(g)), min(x, p - k)) for x, g in groupby(head)]
+    tail_runs = [(len(list(g)), min(x, k)) for x, g in groupby(tail)]
 
-    def workable(side, caps, room, total):
+    def workable(side, runs, total):
         # the side's profiles of this total that leave a graphic remainder
         return [
             P
-            for P in _profiles_with_sum(caps, room, total)
+            for P in _even_profiles(runs, total)
             if _graphic_cached(tuple(sorted(map(sub, side, P), reverse=True)))
         ]
 
-    top = min(head_room[-1][0], tail_room[-1][0])  # the sums of prefix-minimum caps
+    top = min(sum(s * c for s, c in head_runs), sum(s * c for s, c in tail_runs))
     for total in range(p - k, top + 1):
-        lefts = workable(head, head_caps, head_room, total)
+        lefts = workable(head, head_runs, total)
         if not lefts:
             continue
-        rights = workable(tail, tail_caps, tail_room, total)
+        rights = workable(tail, tail_runs, total)
         for L in lefts:
             for R in rights:
                 if not _overflow(R, L):
@@ -345,9 +339,10 @@ def gamma_min_bounded(d: DegreeSequence, delta_cap: int | None = None) -> Extrem
     then.  For each k it walks the cross-edge totals upward and
     enumerates only the head and tail profiles of the current total, so a
     feasible split stops at its first workable total.  Only an infeasible
-    split visits every total, and with it every profile of both sides,
-    whose number grows quickly with the maximum degree; passing
-    ``delta_cap`` rejects sequences whose maximum entry exceeds it.
+    split visits every vector of run totals of both sides, a number
+    exponential in the count of distinct entries (a run of s adds a
+    factor of at most s * cap).  That count is at most the maximum entry,
+    which ``delta_cap`` bounds: it rejects a larger maximum entry.
     """
     if not is_graphic(d):
         raise NotGraphic(f"{d.entries} is not graphic")

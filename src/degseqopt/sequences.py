@@ -186,11 +186,8 @@ def _graphic_erdos_gallai(d: Sequence[int]) -> bool:
         return True
     if d[0] >= n or d[-1] < 0:
         return False
-    total = 0
-    pref = [0] * (n + 1)
-    for i, x in enumerate(d):
-        total += x
-        pref[i + 1] = total
+    pref = list(accumulate(d, initial=0))
+    total = pref[-1]
     if total & 1:
         return False
     m = n  # entries >= k, maintained by a two-pointer as k grows

@@ -246,17 +246,81 @@ def test_gamma_min_scan_returns_first_feasible_split():
             assert _split_feasible(pos, k) is None
 
 
-def test_profiles_with_sum_matches_eager_reference():
-    from degseqopt.extremal import _profile_room, _profiles_with_sum
+def test_even_profiles_match_the_evenly_spread_reference():
+    # the eager enumeration, kept to the profiles that differ by at most 1
+    # within each run of equal entries, is what the run enumeration lists
+    from itertools import accumulate, groupby
+
+    from degseqopt.extremal import _even_profiles
 
     rng = random.Random(14)
     for _ in range(400):
-        caps = [rng.randint(0, 5) for _ in range(rng.randint(1, 9))]
+        values = rng.sample(range(6), rng.randint(1, 3))
+        side = sorted((rng.choice(values) for _ in range(rng.randint(1, 9))), reverse=True)
+        c = rng.randint(1, 5)
+        caps = [min(x, c) for x in side]
+        runs = [(len(list(g)), min(x, c)) for x, g in groupby(side)]
+        cuts = list(accumulate((s for s, _ in runs), initial=0))
         groups = profiles_by_sum(caps)
-        room = _profile_room(caps)
         for total in range(sum(caps) + 3):
-            got = list(_profiles_with_sum(caps, room, total))
-            assert got == groups.get(total, []), (caps, total)
+            even = [
+                P
+                for P in groups.get(total, [])
+                if all(max(P[a:b]) - min(P[a:b]) <= 1 for a, b in zip(cuts, cuts[1:]))
+            ]
+            got = [tuple(P) for P in _even_profiles(runs, total)]
+            assert got == even, (side, c, total)
+
+
+def test_gamma_min_bounded_keeps_its_recorded_answers_n_le_9():
+    # SHA-256 of (sequence, gamma_min, achieving_k, witness edges) over the
+    # 6 067 graphic sequences with n <= 9, recorded with the scan that
+    # enumerated every non-increasing profile of each total
+    import hashlib
+
+    digest, count = hashlib.sha256(), 0
+    for n in range(1, 10):
+        for seq in iter_degree_sequences(n):
+            d = normalize(seq)
+            if not is_graphic(d):
+                continue
+            res = gamma_min_bounded(d)
+            edges = res.witness.graph.edges() if res.witness is not None else None
+            digest.update(repr((seq, res.value, res.achieving_k, edges)).encode())
+            count += 1
+    assert count == 6067
+    assert digest.hexdigest() == "ae27bcdf043161349160903fb06c7d8885f87788d070ed1e465151249cf73fe9"
+
+
+@pytest.mark.parametrize(
+    "seq, gamma",
+    [
+        ([15] * 20 + [1] * 100, 11),
+        # A hub outside a dominating set D cannot send all 20 of its edges to
+        # the other 19 hubs, so it has a leaf neighbour, and that leaf must
+        # itself be in D.  So |D| >= 20, and the witness attains 20.
+        ([20] * 20 + [1] * 150, 20),
+    ],
+    ids=["15^20-1^100", "20^20-1^150"],
+)
+def test_gamma_min_bounded_on_large_classes_of_equal_degrees(monkeypatch, seq, gamma):
+    # one class of equal degrees contributes its evenly spread profiles only,
+    # so under a thousand leftover tests settle each
+    from degseqopt import extremal
+
+    cached, calls = extremal._graphic_cached, 0
+
+    def counted(entries):
+        nonlocal calls
+        calls += 1
+        if calls > 5000:
+            raise AssertionError("more than 5 000 leftover graphicality tests")
+        return cached(entries)
+
+    monkeypatch.setattr(extremal, "_graphic_cached", counted)
+    res = gamma_min_bounded(normalize(seq))
+    assert res.value == gamma
+    assert validate_witness(res.witness).ok
 
 
 def test_gamma_min_bounded_near_uniform_delta5_n100():
