@@ -27,7 +27,6 @@ from __future__ import annotations
 import enum
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import accumulate, groupby
 from operator import sub
 
@@ -230,11 +229,6 @@ def alpha_max(d: DegreeSequence) -> ExtremalResult:
 # smallest domination number over realizations (bounded maximum degree)
 
 
-@lru_cache(maxsize=65536)
-def _graphic_cached(entries: tuple[int, ...]) -> bool:
-    return _graphic_erdos_gallai(entries)
-
-
 def _even_profiles(runs: list[tuple[int, int]], total: int):
     """Profiles of sum ``total`` that spread each run evenly, largest first.
 
@@ -304,7 +298,7 @@ def _split_feasible(pos: DegreeSequence, k: int):
         return [
             P
             for P in _even_profiles(runs, total)
-            if _graphic_cached(tuple(sorted(map(sub, side, P), reverse=True)))
+            if _graphic_erdos_gallai(sorted(map(sub, side, P), reverse=True))
         ]
 
     top = min(sum(s * c for s, c in head_runs), sum(s * c for s, c in tail_runs))

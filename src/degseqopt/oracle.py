@@ -19,15 +19,14 @@ of those picks serves every enumeration.  The vertex that picks is the
 first member of the smallest class, the most constrained choice, as in
 isomorph-rejecting enumeration (McKay, "Isomorph-free exhaustive
 generation", J. Algorithms 26, 1998): large classes then stay whole for
-longer, which cuts the representatives of 6,6,6,5,5,5,5,5,4,3 from
-169 323 (the lowest open vertex picking) to 21 522.
+longer.
 
-The extrema are built along the enumeration tree, not solved per
-realization: once the rows of vertices 0..i are final, row i's closed
-neighborhood, edges and non-edges are folded into three 2^n-bit subset
-bitmaps handed down the recursion.  Each realization then reads its three
-numbers off those bitmaps, which caps the oracle at n <= 14.  The subset tables are this module's own: the
-exact solvers in ``solvers`` run branch and bound instead.
+The extrema are not solved per realization: at each representative the
+n final rows are folded, one after another, into three 2^n-bit bitmaps
+over the vertex subsets (closed neighborhoods, edges, non-edges), and the
+three numbers are read off those, which caps the oracle at n <= 14.  The
+subset tables are this module's own: the exact solvers in ``solvers`` run
+branch and bound instead.
 """
 
 from __future__ import annotations
@@ -57,14 +56,14 @@ class GraphClass(enum.Enum):
     FOREST = "forest"
 
 
-# Measured ladder, general class (2-vCPU VM, one process, single runs):
-#   sweep --n-max 8                          0.8 s in-process, 0.4-0.5 s of it oracle
-#   sweep --n-max 9 --limit 9                13-15 s; the oracle on n = 9 alone 7.1 s
-#   sweep --n-max 10 --limit 10              6 min 8 s, 22 083 sequences
-#   oracle 6,6,6,5,5,5,5,5,4,3 --limit 10    0.4 s, 21 522 representatives
-#   oracle 7,6,5,5,5,5,4,4,4,3 --limit 10    0.8 s, 53 231 representatives
-#   oracle 8,7,6,6,5,5,4,4,4,4,3 --limit 11  28 s, 1 700 803 representatives
-# The forest class takes 1.1 s for all 525 positive sequences with n <= 14.
+# Measured ladder, general class (2-vCPU VM, one process, 1-3 runs each):
+#   sweep --n-max 8                          0.8-0.9 s in-process, 0.4-0.5 s of it oracle
+#   sweep --n-max 9 --limit 9                10 s; the oracle on n = 9 alone 7.1-8.5 s
+#   sweep --n-max 10 --limit 10              4 min 46 s, 22 083 sequences
+#   oracle 6,6,6,5,5,5,5,5,4,3 --limit 10    0.4-0.5 s, 21 522 representatives
+#   oracle 7,6,5,5,5,5,4,4,4,3 --limit 10    0.9-1.2 s, 53 231 representatives
+#   oracle 8,7,6,6,5,5,4,4,4,4,3 --limit 11  33-35 s, 1 700 803 representatives
+# The forest class takes 1.0-1.1 s for all 525 positive sequences with n <= 14.
 # Raising a default turns exit 2 into an answer for the sizes it adds, so the
 # defaults stay where they were set until a stated budget picks new ones.
 DEFAULT_ORACLE_LIMITS = {GraphClass.GENERAL: 8, GraphClass.FOREST: 9}
@@ -149,9 +148,7 @@ def enumerate_realizations(
     graph_class: GraphClass = GraphClass.GENERAL,
     limit: int | None = None,
     *,
-    visit: Callable[[list[int], object], None] | None = None,
-    fold: Callable[[int, int, object], object] | None = None,
-    state: object = None,
+    visit: Callable[[list[int]], None] | None = None,
 ) -> int:
     """Count the positional realizations of ``d``, weighted over classes.
 
@@ -181,16 +178,9 @@ def enumerate_realizations(
     weights, which is the number of labeled realizations.  Every extremum
     of an isomorphism invariant is unchanged.
 
-    ``visit``, ``fold`` and ``state`` are keyword-only hooks over
-    per-vertex neighbor bitmasks.  ``visit(masks, state)`` receives each
-    reached representative (a live list: read it before returning).
-    ``fold(i, masks[i], state)`` returns the state handed on, starting
-    from ``state``, so a caller can accumulate per-row data along the tree
-    instead of recomputing it at each leaf; on every path it sees
-    i = 0..n-1 once each, in order, each row final.  Each node first folds
-    the rows from the lowest unfolded index up to the first open vertex,
-    in a loop with no recursion level of its own, so a row picked out of
-    order waits until every lower row is final.
+    ``visit(masks)``, a keyword-only hook, receives each reached
+    representative as per-vertex neighbor bitmasks, every row final (a
+    live list: read it before returning).
     """
     limit = _resolve_limit(graph_class, limit)
     if d.n > limit:
@@ -223,16 +213,14 @@ def enumerate_realizations(
             return s == 0 or s <= 2 * sum(1 for x in rest if x > 0) - 2
         return _graphic_erdos_gallai(rest)
 
-    def rec(i: int, state, weight: int) -> None:
+    def rec(i: int, weight: int) -> None:
         nonlocal count
-        while i < n and residual[i] == 0:  # a final row: fold it in, in this frame
-            if fold is not None:
-                state = fold(i, masks[i], state)
+        while i < n and residual[i] == 0:  # skip the final rows
             i += 1
         if i == n:
             count += weight
             if visit is not None:
-                visit(masks, state)
+                visit(masks)
             return
         classes: dict[tuple[int, int], list[int]] = {}
         for j in range(i, n):
@@ -268,7 +256,7 @@ def enumerate_realizations(
                 if forest:
                     for rj in roots[1:]:
                         parent[rj] = roots[0]
-                rec(i, state, weight * w)
+                rec(i, weight * w)
                 for j in chosen:
                     masks[j] ^= bit_p
                 if forest:
@@ -279,7 +267,7 @@ def enumerate_realizations(
         masks[p] = earlier
         residual[p] = r
 
-    rec(0, state, 1)
+    rec(0, 1)
     return count
 
 
@@ -290,14 +278,13 @@ def oracle_extrema(
 ) -> OracleReport:
     """Exact extrema of gamma, alpha, omega over the enumerated class.
 
-    Three subset bitmaps over the 2^n vertex subsets travel down the
-    enumeration tree.  When vertex i's row is final, its closed
-    neighborhood N[i] and its pairs (i, j), j > i, are folded in:
-    ``dom`` keeps the subsets meeting N[i] (after every row: the
-    dominating sets), ``nonind`` gains the subsets holding i and a new
-    neighbor j, and ``noncl`` the subsets holding i and a later non-neighbor
-    j.  Each realization then reads gamma off the smallest size class of
-    ``dom``, and alpha and omega off the largest size class of the
+    Each reached realization folds its n final rows into three subset
+    bitmaps over the 2^n vertex subsets.  Row i contributes its closed
+    neighborhood N[i] and its pairs (i, j), j > i: ``dom`` keeps the
+    subsets meeting N[i] (after every row: the dominating sets),
+    ``nonind`` gains the subsets holding i and a neighbor j, and ``noncl``
+    the subsets holding i and a non-neighbor j.  Gamma is the smallest size
+    class of ``dom``, and alpha and omega the largest size class of the
     complements of ``nonind`` and ``noncl``; no solver runs per
     realization.  The subsets meeting a vertex set S are memoized per call
     (2 KiB per S at n = 14); a new S costs one OR.  Only one realization
@@ -325,23 +312,18 @@ def oracle_extrema(
         return out
 
     later = [(1 << n) - (1 << (i + 1)) for i in range(n)]  # later[i]: vertices after i
-
-    def fold(i: int, row: int, state: tuple[int, int, int]) -> tuple[int, int, int]:
-        # own[i] & meets(S) is the union over j in S of the pair bitmaps
-        # "holds i and j"
-        dom, nonind, noncl = state
-        chosen = row & later[i]
-        return (
-            dom & meets(row | 1 << i),
-            nonind | own[i] & meets(chosen),
-            noncl | own[i] & meets(later[i] ^ chosen),
-        )
-
     seen: set[tuple[int, int, int]] = set()  # distinct (gamma, alpha, omega)
 
-    def visit(masks: list[int], state: tuple[int, int, int]) -> None:
+    def visit(masks: list[int]) -> None:
+        dom, nonind, noncl = full, 0, 0
+        for i, row in enumerate(masks):
+            # own[i] & meets(S) is the union over j in S of the pair bitmaps
+            # "holds i and j"
+            chosen = row & later[i]
+            dom &= meets(row | 1 << i)
+            nonind |= own[i] & meets(chosen)
+            noncl |= own[i] & meets(later[i] ^ chosen)
         # the smallest dominating set, the largest independent set and clique
-        dom, nonind, noncl = state
         ind, cl = full ^ nonind, full ^ noncl
         gamma, alpha, omega = 0, n, n
         while not dom & by_size[gamma]:
@@ -352,8 +334,7 @@ def oracle_extrema(
             omega -= 1
         seen.add((gamma, alpha, omega))
 
-    count = enumerate_realizations(d, graph_class, limit, visit=visit, fold=fold,
-                                   state=(full, 0, 0))
+    count = enumerate_realizations(d, graph_class, limit, visit=visit)
     columns = list(zip(*seen))
     lo = [min(c) for c in columns] or [None] * 3  # all None: no realization
     hi = [max(c) for c in columns] or [None] * 3

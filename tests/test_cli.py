@@ -686,3 +686,30 @@ def test_large_json_outputs_keep_their_recorded_bytes(argv, digest):
     code, out = run_argv(argv + ["--json"])
     assert code == EXIT_OK
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_oracle_outputs_on_every_small_sequence_keep_their_recorded_bytes(capsys):
+    # every graphic sequence with n <= 7, and every positive forest sequence
+    # with n <= 10 in the forest class: counts and all six extrema, text and JSON
+    import hashlib
+
+    from degseqopt import is_graphic, iter_degree_sequences, normalize
+    from degseqopt.oracle import _forest_sequences
+
+    runs = []
+    for seq in (s for n in range(1, 8) for s in iter_degree_sequences(n)):
+        if is_graphic(normalize(list(seq))):
+            text = ",".join(map(str, seq))
+            runs += [["oracle", text], ["oracle", text, "--json"]]
+    for seq in (s for n in range(1, 11) for s in _forest_sequences(n)):
+        text = ",".join(map(str, seq))
+        runs += [["oracle", text, "--forest", "--limit", "10"],
+                 ["oracle", text, "--forest", "--limit", "10", "--json"]]
+    assert len(runs) == 1214
+    digest = hashlib.sha256()
+    for argv in runs:
+        code = main(argv)
+        assert code == EXIT_OK, argv
+        digest.update(f"{code}\n{capsys.readouterr().out}".encode())
+    assert digest.hexdigest() == (
+        "f8f6df4f16f5833b38213c117f73aef7cb9ce9b0021fe7f9a878488daf6564a2")

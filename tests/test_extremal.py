@@ -308,16 +308,16 @@ def test_gamma_min_bounded_on_large_classes_of_equal_degrees(monkeypatch, seq, g
     # so under a thousand leftover tests settle each
     from degseqopt import extremal
 
-    cached, calls = extremal._graphic_cached, 0
+    graphic, calls = extremal._graphic_erdos_gallai, 0
 
     def counted(entries):
         nonlocal calls
         calls += 1
         if calls > 5000:
             raise AssertionError("more than 5 000 leftover graphicality tests")
-        return cached(entries)
+        return graphic(entries)
 
-    monkeypatch.setattr(extremal, "_graphic_cached", counted)
+    monkeypatch.setattr(extremal, "_graphic_erdos_gallai", counted)
     res = gamma_min_bounded(normalize(seq))
     assert res.value == gamma
     assert validate_witness(res.witness).ok

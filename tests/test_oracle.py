@@ -6,6 +6,7 @@ import pytest
 from conftest import oracle_extrema_reference, realizations_reference
 
 from degseqopt import (
+    Graph,
     GraphClass,
     TooLarge,
     alpha_max,
@@ -202,7 +203,7 @@ def test_branching_on_the_smallest_class_keeps_the_n10_search_small():
     # letting the lowest open vertex pick reaches 169 323 representatives here
     leaves = 0
 
-    def visit(masks, state):
+    def visit(masks):
         nonlocal leaves
         leaves += 1
 
@@ -230,7 +231,7 @@ def test_forest_sequences_are_the_filtered_positive_sequences_in_order():
 
 
 # ---------------------------------------------------------------------------
-# the enumeration's per-node machinery: class picks and the fold order
+# the enumeration's per-node machinery: class picks and the final rows
 
 
 def class_picks_reference(sizes, r):
@@ -267,24 +268,24 @@ def test_class_picks_match_the_brute_force_reference():
     [2, 2, 2, 0, 0], [1, 1, 0], [0, 0, 0], [1, 1, 1, 1], [2, 2, 1, 1],
     [3, 3, 2, 1, 1], [3, 2, 2, 2, 1], [4, 3, 3, 2, 2, 1, 1], [3, 3, 3, 3, 2, 2, 0],
     [2, 1, 1, 0], [3, 2, 1, 1, 1],  # forests too
+    [2, 2, 2, 1, 1, 1, 1],  # a forest sequence with a cyclic realization
 ])
 @pytest.mark.parametrize("graph_class", list(GraphClass))
-def test_fold_sees_every_row_once_and_in_order_on_every_path(seq, graph_class):
+def test_visit_sees_final_rows_on_every_path(seq, graph_class):
     d = normalize(seq)
     n = d.n
     leaves = []
 
-    def fold(i, row, state):
-        return state + ((i, row),)
-
-    def visit(masks, state):
-        assert [i for i, _ in state] == list(range(n))
-        rows = [row for _, row in state]
-        assert rows == masks  # each folded row is final
-        assert [bin(row).count("1") for row in rows] == list(d.entries)
+    def visit(masks):
+        rows = list(masks)
+        assert all(not rows[i] >> i & 1 for i in range(n))
         assert all((rows[j] >> i & 1) == (rows[i] >> j & 1) for i in range(n) for j in range(n))
+        assert [bin(row).count("1") for row in rows] == list(d.entries)
+        if graph_class is GraphClass.FOREST:  # m = n - components
+            edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rows[i] >> j & 1]
+            assert len(edges) == n - len(Graph(n, edges).connected_components())
         leaves.append(tuple(rows))
 
-    count = enumerate_realizations(d, graph_class, visit=visit, fold=fold, state=())
+    count = enumerate_realizations(d, graph_class, visit=visit)
     assert (count > 0) == bool(leaves)
     assert len(set(leaves)) == len(leaves)
