@@ -2,10 +2,12 @@
 
 Every subcommand takes a degree sequence (comma- or whitespace-separated;
 ``-`` reads it from standard input, for sequences too long for one
-command-line argument) or a graph/spec file, prints a one-line
-human-readable report by default, and mirrors it as versioned JSON under
-``--json``.  Output is deterministic byte-for-byte for a fixed input and
-flag set.  An empty or missing standard input exits 1.
+command-line argument) or a graph/spec file, and prints a one-line
+report by default: the report's fields as ``key=value`` pairs, rendered by
+``_line``.  Under ``--json`` it prints the same values as versioned JSON,
+with the input and context beside them.  Output is deterministic
+byte-for-byte for a fixed input and flag set.  An empty or missing
+standard input exits 1.
 
 Each subparser binds its handler and the JSON ``command`` name with
 ``set_defaults``; ``run`` calls the handler on the parsed arguments and
@@ -31,6 +33,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 from . import extremal, oracle
@@ -103,26 +106,20 @@ def _chain_obj(chain: extremal.BoundChain) -> dict:
     }
 
 
-def _result_payload(d: DegreeSequence, res: extremal.ExtremalResult, with_witness: bool) -> dict:
-    payload = {
-        "parameter": res.parameter.value,
-        "value": res.value,
-        "achieving_k": res.achieving_k,
-        "bound_chain": _chain_obj(res.bound_chain),
-        "sequence": _sequence_obj(d),
-        "witness": None,
-    }
-    if with_witness and res.witness is not None:
-        payload["witness"] = witness_to_json_obj(res.witness)
-    return payload
+def _line(fields: dict) -> str:
+    """The text report: ``key=value`` for each field, in order.
 
-
-def _edges_text(edges: list[list[int]]) -> str:
-    return ",".join(f"{u}-{v}" for u, v in edges) if edges else "-"
-
-
-def _bool(x: bool) -> str:
-    return "true" if x else "false"
+    Booleans read ``true``/``false`` and edge lists ``u-v,...`` (``-`` when
+    empty); every other value prints as ``str`` gives it.
+    """
+    parts = []
+    for key, value in fields.items():
+        if isinstance(value, bool):
+            value = "true" if value else "false"
+        elif isinstance(value, list):
+            value = ",".join(f"{u}-{v}" for u, v in value) or "-"
+        parts.append(f"{key}={value}")
+    return " ".join(parts)
 
 
 def _read_sequence(text: str) -> DegreeSequence:
@@ -137,40 +134,43 @@ def _read_sequence(text: str) -> DegreeSequence:
 
 
 # --------------------------------------------------------------------------
-# handlers: parsed arguments -> (payload, text, exit_code)
+# handlers: parsed arguments -> (payload, text, exit_code); the text is
+# _line of the report's fields, whose values the payload carries as well
 
 
 def _handle_check(args: argparse.Namespace):
     d = _read_sequence(args.sequence)
-    graphic = is_graphic(d)
-    forest = is_forest_sequence(d)
-    payload = {"graphic": graphic, "forest": forest, "sequence": _sequence_obj(d)}
-    return payload, f"graphic={_bool(graphic)} forest={_bool(forest)}", EXIT_OK
+    fields = {"graphic": is_graphic(d), "forest": is_forest_sequence(d)}
+    return {**fields, "sequence": _sequence_obj(d)}, _line(fields), EXIT_OK
 
 
 def _handle_bounds(args: argparse.Namespace):
     d = _read_sequence(args.sequence)
-    chain = extremal.bound_chain(d)
-    payload = dict(_chain_obj(chain))
-    payload["sequence"] = _sequence_obj(d)
-    text = (
-        f"slater={chain.slater} annihilation={chain.annihilation} n0={chain.n0} "
-        f"gamma_forest_low={chain.forest_gamma_low} gamma_forest_high={chain.forest_gamma_high}"
-    )
-    return payload, text, EXIT_OK
+    fields = _chain_obj(extremal.bound_chain(d))
+    return {**fields, "sequence": _sequence_obj(d)}, _line(fields), EXIT_OK
 
 
 def _extremal_handler(func):
     def handle(args: argparse.Namespace):
         d = _read_sequence(args.sequence)
         res = func(d, delta_cap=args.delta_cap) if "delta_cap" in args else func(d)
-        payload = _result_payload(d, res, getattr(args, "witness", False))
-        text = f"{res.parameter.value}={res.value}"
+        witness = None
+        if getattr(args, "witness", False) and res.witness is not None:
+            witness = witness_to_json_obj(res.witness)
+        fields = {res.parameter.value: res.value}
         if res.achieving_k is not None:
-            text += f" k={res.achieving_k}"
-        if payload["witness"] is not None:
-            text += f" witness_edges={_edges_text(payload['witness']['edges'])}"
-        return payload, text, EXIT_OK
+            fields["k"] = res.achieving_k
+        if witness is not None:
+            fields["witness_edges"] = witness["edges"]
+        payload = {
+            "parameter": res.parameter.value,
+            "value": res.value,
+            "achieving_k": res.achieving_k,
+            "bound_chain": _chain_obj(res.bound_chain),
+            "sequence": _sequence_obj(d),
+            "witness": witness,
+        }
+        return payload, _line(fields), EXIT_OK
 
     return handle
 
@@ -183,46 +183,25 @@ def _handle_realize(args: argparse.Namespace):
             independent_tail_forest if variant == "indep-tail"
             else independent_dominating_head_forest
         )
-        witness = builder(d, args.k)
-        payload = {"variant": variant, "witness": witness_to_json_obj(witness)}
-        text = (
-            f"n={d.n} k={args.k} edges={_edges_text(payload['witness']['edges'])} "
-            f"claims={','.join(payload['witness']['claims'])}"
-        )
-        return payload, text, EXIT_OK
+        witness = witness_to_json_obj(builder(d, args.k))
+        fields = {"n": d.n, "k": args.k, "edges": witness["edges"],
+                  "claims": ",".join(witness["claims"])}
+        return {"variant": variant, "witness": witness}, _line(fields), EXIT_OK
     graph = havel_hakimi_realize(d) if variant == "hh" else forest_realize(d)
-    edges = _one_based_edges(graph)
-    payload = {
-        "variant": variant,
-        "n": graph.n,
-        "edges": edges,
-        "sequence": _sequence_obj(d),
-    }
-    return payload, f"n={graph.n} edges={_edges_text(edges)}", EXIT_OK
+    fields = {"n": graph.n, "edges": _one_based_edges(graph)}
+    payload = {"variant": variant, **fields, "sequence": _sequence_obj(d)}
+    return payload, _line(fields), EXIT_OK
 
 
 def _handle_oracle(args: argparse.Namespace):
     d = _read_sequence(args.sequence)
     graph_class = GraphClass.FOREST if args.forest else GraphClass.GENERAL
     rep = oracle_extrema(d, graph_class, limit=args.limit)
-    payload = {
-        "graph_class": graph_class.value,
-        "count": rep.realization_count,
-        "gamma_min": rep.gamma_min,
-        "gamma_max": rep.gamma_max,
-        "alpha_min": rep.alpha_min,
-        "alpha_max": rep.alpha_max,
-        "omega_min": rep.omega_min,
-        "omega_max": rep.omega_max,
-        "sequence": _sequence_obj(d),
-    }
-    text = (
-        f"count={rep.realization_count} "
-        f"gamma_min={rep.gamma_min} gamma_max={rep.gamma_max} "
-        f"alpha_min={rep.alpha_min} alpha_max={rep.alpha_max} "
-        f"omega_min={rep.omega_min} omega_max={rep.omega_max}"
-    )
-    return payload, text, EXIT_OK
+    fields = {"count": rep.realization_count}
+    for name in ("gamma_min", "gamma_max", "alpha_min", "alpha_max", "omega_min", "omega_max"):
+        fields[name] = getattr(rep, name)
+    payload = {"graph_class": graph_class.value, **fields, "sequence": _sequence_obj(d)}
+    return payload, _line(fields), EXIT_OK
 
 
 def _load_graph(path: str) -> Graph:
@@ -244,22 +223,9 @@ def _load_graph(path: str) -> Graph:
 
 def _handle_slater_bound(args: argparse.Namespace):
     g = _load_graph(args.graph)
-    rep = extremal.check_slater_bound(g)
-    payload = {
-        "holds": rep.holds,
-        "gamma": rep.gamma,
-        "slater": rep.slater,
-        "cycle_excess": rep.cycle_excess,
-        "bound": rep.bound,
-        "n": g.n,
-        "m": g.m,
-    }
-    text = (
-        f"holds={_bool(rep.holds)} gamma={rep.gamma} slater={rep.slater} "
-        f"cycle_excess={rep.cycle_excess} bound={rep.bound}"
-    )
-    code = EXIT_OK if rep.holds else EXIT_INTERNAL
-    return payload, text, code
+    fields = asdict(extremal.check_slater_bound(g))
+    code = EXIT_OK if fields["holds"] else EXIT_INTERNAL
+    return {**fields, "n": g.n, "m": g.m}, _line(fields), code
 
 
 def _handle_bip_check(args: argparse.Namespace):
@@ -273,18 +239,13 @@ def _handle_bip_check(args: argparse.Namespace):
             'spec must be a JSON object {"a":[..],"b":[..],"ap":[..],"bp":[..]} of integer lists'
         )
     spec = BipartiteDegreeSpec.create(*bounds)
-    feasible = gale_ryser_feasible(spec)
-    edges = None
-    if feasible:
+    fields = {"feasible": gale_ryser_feasible(spec)}
+    if fields["feasible"]:
         g = build_bounded_bipartite(spec)
-        edges = sorted(
+        fields["edges"] = sorted(
             [spec.left_order[u] + 1, spec.right_order[v - spec.m] + 1] for u, v in g.edges()
         )
-    payload = {"feasible": feasible, "edges": edges}
-    text = f"feasible={_bool(feasible)}"
-    if edges is not None:
-        text += f" edges={_edges_text(edges)}"
-    return payload, text, EXIT_OK
+    return {"edges": None, **fields}, _line(fields), EXIT_OK  # JSON edges: null if infeasible
 
 
 _SWEEP_CHECKS = {
@@ -348,12 +309,13 @@ def _handle_sweep(args: argparse.Namespace):
         "ok": ok,
     }
     lines = [
-        f"param={p} checked={checked[p]} mismatches={len(mismatches[p])}" for p in params
+        _line({"param": p, "checked": checked[p], "mismatches": len(mismatches[p])})
+        for p in params
     ]
     for p in params:
         for seq in mismatches[p]:
             lines.append(f"MISMATCH {p} {','.join(str(x) for x in seq)}")
-    lines.append(f"ok={_bool(ok)}")
+    lines.append(_line({"ok": ok}))
     return payload, "\n".join(lines), EXIT_OK if ok else EXIT_INTERNAL
 
 

@@ -6,8 +6,9 @@ edge list and its degrees: each edge is stored once as (u, v) with u < v,
 and the list is sorted, so memory grows with the edge count.  Construction
 orients and sorts the edges, then checks them in a few C-level passes (the
 range, u < v for a self-loop, and equal neighbours after the sort for a
-repeated edge); only on failure are the input edges rescanned, so the
-error names the first bad one.  The exact solvers derive their own
+repeated edge); only on failure, or on the ``TypeError`` a non-integer
+count or vertex id raises, are the input edges rescanned, so the error
+names the first bad one.  The exact solvers derive their own
 bitmasks from the edge list.
 
 The head is the vertex range 0..k-1, so the edges with an end in the head
@@ -56,25 +57,28 @@ class Graph:
     __slots__ = ("n", "_edges", "degrees", "_parent")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
-        if n < 0:
-            raise ValueError("vertex count must be non-negative")
         edges = list(edges)
-        ordered = sorted([(u, v) if u < v else (v, u) for u, v in edges])
-        if ordered:
-            heads = list(map(_first, ordered))
-            ends = list(map(_second, ordered))
-            # a self-loop keeps u == v; a repeated edge sits next to its copy
-            if (
-                heads[0] < 0
-                or max(ends) >= n
-                or not all(map(lt, heads, ends))
-                or any(map(eq, ordered, islice(ordered, 1, None)))
-            ):
-                raise _first_bad_edge(n, edges)
-        degrees = [0] * n
-        for u, v in ordered:
-            degrees[u] += 1
-            degrees[v] += 1
+        try:
+            if n < 0:
+                raise ValueError("vertex count must be non-negative")
+            ordered = sorted([(u, v) if u < v else (v, u) for u, v in edges])
+            if ordered:
+                heads = list(map(_first, ordered))
+                ends = list(map(_second, ordered))
+                # a self-loop keeps u == v; a repeated edge sits next to its copy
+                if (
+                    heads[0] < 0
+                    or max(ends) >= n
+                    or not all(map(lt, heads, ends))
+                    or any(map(eq, ordered, islice(ordered, 1, None)))
+                ):
+                    raise _first_bad_edge(n, edges)
+            degrees = [0] * n
+            for u, v in ordered:
+                degrees[u] += 1
+                degrees[v] += 1
+        except TypeError:  # a count or vertex id that is not an integer
+            raise _first_bad_edge(n, edges) from None
         self.n = n
         self._edges = ordered
         self.degrees = tuple(degrees)
@@ -138,11 +142,18 @@ class Graph:
 def _first_bad_edge(n: int, edges: list[tuple[int, int]], base: int = 0) -> ValueError:
     """The error for the first edge that is out of range, a loop or a repeat.
 
-    The message numbers vertices from ``base``: 0 as the graph does, 1 as
-    the graph files do.
+    A vertex count or id that ``operator.index`` refuses (a float, a
+    string, None; bools pass) is named first, as it is.  Otherwise the
+    message numbers vertices from ``base``: 0 as the graph does, 1 as the
+    graph files do.
     """
+    if not hasattr(type(n), "__index__"):
+        return ValueError(f"vertex count {n!r} is not an integer")
     seen: set[tuple[int, int]] = set()
     for u, v in edges:
+        for x in (u, v):
+            if not hasattr(type(x), "__index__"):
+                return ValueError(f"vertex {x!r} is not an integer")
         if not (0 <= u < n and 0 <= v < n):
             return ValueError(f"edge ({u + base}, {v + base}) out of range for n={n}")
         if u == v:

@@ -713,3 +713,41 @@ def test_oracle_outputs_on_every_small_sequence_keep_their_recorded_bytes(capsys
         digest.update(f"{code}\n{capsys.readouterr().out}".encode())
     assert digest.hexdigest() == (
         "f8f6df4f16f5833b38213c117f73aef7cb9ce9b0021fe7f9a878488daf6564a2")
+
+
+def test_text_and_json_reports_on_every_small_sequence_keep_their_recorded_bytes(
+        tmp_path, monkeypatch):
+    # every sequence with n <= 6, graphic or not, under each sequence
+    # command but the oracle, plus slater-bound and bip-check: text and JSON
+    import hashlib
+
+    from degseqopt import cli, iter_degree_sequences
+
+    commands = [
+        ["check"], ["bounds"], ["gamma-min", "--witness"], ["omega-max"], ["alpha-max"],
+        ["forest", "gamma-min", "--witness"], ["forest", "alpha-max", "--witness"],
+        ["realize", "hh"], ["realize", "forest"],
+        ["realize", "indep-tail", "--k", "2"], ["realize", "indep-dom", "--k", "2"],
+    ]
+    runs = []
+    for seq in (s for n in range(1, 7) for s in iter_degree_sequences(n)):
+        text = ",".join(map(str, seq))
+        runs += [command + [text] for command in commands]
+    monkeypatch.chdir(tmp_path)  # graph files by relative name: argv is digested
+    for name, graph in [("connected", "4 4\n1 2\n2 3\n3 1\n3 4\n"),
+                        ("disconnected", "4 2\n1 2\n3 4\n"), ("self-loop", "2 1\n1 1\n")]:
+        Path(name).write_text(graph)
+        runs.append(["slater-bound", "--graph", name])
+    for spec in ('{"a":[1,1],"b":[1,1],"ap":[1,1],"bp":[1,1]}',
+                 '{"a":[2,2],"b":[2,2],"ap":[1,1],"bp":[1,1]}',
+                 '{"a":[],"b":[],"ap":[],"bp":[]}'):
+        runs.append(["bip-check", "--spec", spec])
+    runs = [argv + flag for argv in runs for flag in ([], ["--json"])]
+    assert len(runs) == 14026
+    parser = cli._build_parser()
+    digest = hashlib.sha256()
+    for argv in runs:
+        code, out = cli.run(parser.parse_args(argv))
+        digest.update(f"{argv!r}\n{code}\n{out}\n".encode())
+    assert digest.hexdigest() == (
+        "efe918d19749c80842e5b2c2eeb360dc8563f46df5377d0c46dd0dd776270b86")

@@ -204,7 +204,7 @@ def test_gamma_min_delta_cap_guard():
 
 
 def test_gamma_min_runtime_warning_for_large_degree_and_order():
-    # a large degree at n >= 40 answers at once and warns about nothing
+    # a large degree at n >= 40 gets the Slater number, with no warning raised
     seq = [5] + [1] * 39
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -213,7 +213,7 @@ def test_gamma_min_runtime_warning_for_large_degree_and_order():
 
 
 def test_gamma_min_delta_cap_above_every_entry_raises_no_warning():
-    # the slow-scan warning reads the largest entry, not a looser cap
+    # a cap above every entry refuses nothing and raises no warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         result = gamma_min_bounded(normalize([2] * 40), delta_cap=9)
@@ -320,6 +320,14 @@ def test_gamma_min_bounded_on_large_classes_of_equal_degrees(monkeypatch, seq, g
     monkeypatch.setattr(extremal, "_graphic_erdos_gallai", counted)
     res = gamma_min_bounded(normalize(seq))
     assert res.value == gamma
+    assert validate_witness(res.witness).ok
+
+
+def test_gamma_min_bounded_walks_a_thousand_runs_of_equal_degrees():
+    # the tail side holds about a thousand runs; one frame per run, as a
+    # recursive profile enumerator would take, passes the recursion limit
+    res = gamma_min_bounded(normalize([v for v in range(1, 1001) for _ in range(2)]))
+    assert (res.value, res.achieving_k) == (2, 2)
     assert validate_witness(res.witness).ok
 
 

@@ -331,6 +331,23 @@ def test_graph_errors_name_the_first_bad_edge(edges, message):
         Graph(3, iter(edges))  # a one-shot iterable is rescanned as well
 
 
+@pytest.mark.parametrize("n, edges, message", [
+    (3, [(0, 1.0)], "vertex 1.0 is not an integer"),
+    (3, [("0", "1")], "vertex '0' is not an integer"),
+    (2.0, [(0, 1)], "vertex count 2.0 is not an integer"),
+    (3, [(0, None)], "vertex None is not an integer"),
+])
+def test_graph_refuses_vertex_ids_and_counts_that_are_not_integers(n, edges, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Graph(n, edges)
+
+
+def test_graph_takes_bools_as_vertex_ids_and_counts():
+    # the operator.index rule of normalize: bools are integers
+    assert Graph(True).n == 1
+    assert Graph(2, [(False, True)]).degrees == (1, 1)
+
+
 @given(st.integers(min_value=0, max_value=6),
        st.lists(st.tuples(st.integers(min_value=-1, max_value=6),
                           st.integers(min_value=-1, max_value=6)), max_size=12))
