@@ -150,23 +150,23 @@ def _handle_bounds(args: argparse.Namespace):
     return {**fields, "sequence": _sequence_obj(d)}, _line(fields), EXIT_OK
 
 
-def _extremal_handler(func):
+def _extremal_handler(parameter: str, func):
     def handle(args: argparse.Namespace):
         d = _read_sequence(args.sequence)
         res = func(d, delta_cap=args.delta_cap) if "delta_cap" in args else func(d)
         witness = None
         if getattr(args, "witness", False) and res.witness is not None:
             witness = witness_to_json_obj(res.witness)
-        fields = {res.parameter.value: res.value}
+        fields = {parameter: res.value}
         if res.achieving_k is not None:
             fields["k"] = res.achieving_k
         if witness is not None:
             fields["witness_edges"] = witness["edges"]
         payload = {
-            "parameter": res.parameter.value,
+            "parameter": parameter,
             "value": res.value,
             "achieving_k": res.achieving_k,
-            "bound_chain": _chain_obj(res.bound_chain),
+            "bound_chain": _chain_obj(extremal.bound_chain(d)),
             "sequence": _sequence_obj(d),
             "witness": witness,
         }
@@ -373,32 +373,33 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("bounds", help="Slater number, annihilation number, and the forest bracket")
     add_seq(p), add_json(p, "bounds", _handle_bounds)
 
-    for name, func, helptext in (
-        ("omega-max", extremal.omega_max, "largest clique number over realizations"),
-        ("alpha-max", extremal.alpha_max, "largest independence number over realizations"),
+    for name, parameter, func, helptext in (
+        ("omega-max", "omega_max", extremal.omega_max, "largest clique number over realizations"),
+        ("alpha-max", "alpha_max", extremal.alpha_max,
+         "largest independence number over realizations"),
     ):
         p = sub.add_parser(name, help=helptext)
-        add_seq(p), add_json(p, name, _extremal_handler(func))
+        add_seq(p), add_json(p, name, _extremal_handler(parameter, func))
 
     p = sub.add_parser("gamma-min", help="smallest domination number over realizations")
     add_seq(p)
     p.add_argument("--delta-cap", type=int, default=None, metavar="D",
                    help="reject sequences with maximum entry above D")
     p.add_argument("--witness", action="store_true", help="attach a witness realization")
-    add_json(p, "gamma-min", _extremal_handler(extremal.gamma_min_bounded))
+    add_json(p, "gamma-min", _extremal_handler("gamma_min", extremal.gamma_min_bounded))
 
     p = sub.add_parser("forest", help="forest-restricted extremal parameters")
     fsub = p.add_subparsers(dest="forest_command", required=True)
-    for name, func, helptext in (
-        ("gamma-min", extremal.gamma_min_forest,
+    for name, parameter, func, helptext in (
+        ("gamma-min", "gamma_min_forest", extremal.gamma_min_forest,
          "smallest domination number over forest realizations"),
-        ("alpha-max", extremal.alpha_max_forest,
+        ("alpha-max", "alpha_max_forest", extremal.alpha_max_forest,
          "largest independence number over forest realizations"),
     ):
         fp = fsub.add_parser(name, help=helptext)
         add_seq(fp)
         fp.add_argument("--witness", action="store_true")
-        add_json(fp, f"forest {name}", _extremal_handler(func))
+        add_json(fp, f"forest {name}", _extremal_handler(parameter, func))
 
     p = sub.add_parser("realize", help="construct a concrete realization")
     rsub = p.add_subparsers(dest="realize_command", required=True)

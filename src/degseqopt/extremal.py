@@ -24,10 +24,9 @@ any minimum dominating set and one to any maximum independent set.
 
 from __future__ import annotations
 
-import enum
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate, groupby
+from itertools import groupby
 from operator import sub
 
 from .bipartite import _greedy_edges, _overflow
@@ -50,7 +49,6 @@ from .sequences import (
 from .solvers import domination_number
 
 __all__ = [
-    "ExtremalParameter",
     "BoundChain",
     "ExtremalResult",
     "SlaterBoundReport",
@@ -64,17 +62,9 @@ __all__ = [
 ]
 
 
-class ExtremalParameter(enum.Enum):
-    OMEGA_MAX = "omega_max"
-    ALPHA_MAX = "alpha_max"
-    GAMMA_MIN = "gamma_min"
-    GAMMA_MIN_FOREST = "gamma_min_forest"
-    ALPHA_MAX_FOREST = "alpha_max_forest"
-
-
 @dataclass(frozen=True)
 class BoundChain:
-    """Sequence-level bounds carried along for cross-checks.
+    """Sequence-level bounds: the CLI's ``bounds`` report and ``bound_chain`` field.
 
     ``forest_gamma_low``/``forest_gamma_high`` bracket the smallest forest
     domination number whenever the sequence is a forest sequence.
@@ -101,32 +91,17 @@ def bound_chain(d: DegreeSequence) -> BoundChain:
 
 @dataclass(frozen=True)
 class ExtremalResult:
-    """A computed extremal value with optional witness and bound chain.
+    """An extremal value, the split k that attains it, and a witness.
 
-    When zero entries are present, gamma witnesses cover the positive part
-    only (isolated vertices would have to join the dominating set but sit
-    at the tail of the sorted order); ``value`` always refers to the full
-    sequence.
+    ``omega_max``, ``alpha_max`` and all-zero sequences give the value
+    only.  With zero entries, gamma witnesses cover the positive part only
+    (isolated vertices would have to join the dominating set but sit at the
+    tail of the sorted order); ``value`` always refers to the full sequence.
     """
 
-    parameter: ExtremalParameter
     value: int
-    bound_chain: BoundChain
     achieving_k: int | None = None
     witness: RealizationWitness | None = None
-
-    def __post_init__(self) -> None:
-        if self.parameter in (ExtremalParameter.GAMMA_MIN, ExtremalParameter.GAMMA_MIN_FOREST):
-            assert self.value >= self.bound_chain.slater
-            if self.witness is not None:
-                assert self.witness.split_k == self.achieving_k
-                assert WitnessClaim.HEAD_DOMINATING in self.witness.claims
-                assert self.value == self.achieving_k + self.bound_chain.n0
-        if self.parameter in (ExtremalParameter.ALPHA_MAX, ExtremalParameter.ALPHA_MAX_FOREST):
-            assert self.value <= self.bound_chain.annihilation
-            if self.witness is not None:
-                assert WitnessClaim.TAIL_INDEPENDENT in self.witness.claims
-                assert self.witness.graph.n - self.witness.split_k == self.value
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +177,7 @@ def omega_max(d: DegreeSequence) -> ExtremalResult:
     entries = d.entries
     hi = bisect_left(range(d.n), True, key=lambda i: entries[i] < i)
     value = _largest_feasible(hi, lambda k: _rao_clique_feasible(entries, k))
-    return ExtremalResult(ExtremalParameter.OMEGA_MAX, value, bound_chain(d))
+    return ExtremalResult(value)
 
 
 def alpha_max(d: DegreeSequence) -> ExtremalResult:
@@ -215,14 +190,13 @@ def alpha_max(d: DegreeSequence) -> ExtremalResult:
     """
     if not is_graphic(d):
         raise NotGraphic(f"{d.entries} is not graphic")
-    chain = bound_chain(d)
     entries, n = d.entries, d.n
     fits = n - bisect_left(range(n), True, key=lambda i: entries[i] <= i)
     value = _largest_feasible(
-        min(chain.annihilation, fits),
+        min(annihilation(d), fits),
         lambda k: _lay_off(entries[: n - k], reversed(entries[n - k :])),
     )
-    return ExtremalResult(ExtremalParameter.ALPHA_MAX, value, chain)
+    return ExtremalResult(value)
 
 
 # ---------------------------------------------------------------------------
@@ -344,20 +318,13 @@ def gamma_min_bounded(d: DegreeSequence, delta_cap: int | None = None) -> Extrem
         raise PreconditionViolated(
             f"maximum entry {d.max_entry} exceeds delta cap {delta_cap}"
         )
-    chain = bound_chain(d)
     pos = d.positive_part()
     if pos is None:
-        return ExtremalResult(ExtremalParameter.GAMMA_MIN, d.n, chain)
+        return ExtremalResult(d.n)
     for k in range(slater(pos), pos.n // 2 + 1):
         found = _split_feasible(pos, k)
         if found is not None:
-            return ExtremalResult(
-                ExtremalParameter.GAMMA_MIN,
-                k + d.n0,
-                chain,
-                achieving_k=k,
-                witness=_assemble_split_witness(pos, k, *found),
-            )
+            return ExtremalResult(k + d.n0, k, _assemble_split_witness(pos, k, *found))
     raise AssertionError("Ore's bound: some k <= p/2 is always feasible")
 
 
@@ -377,10 +344,9 @@ def gamma_min_forest(d: DegreeSequence) -> ExtremalResult:
     """
     if not is_forest_sequence(d):
         raise NotForestSequence(f"{d.entries} is not a forest sequence")
-    chain = bound_chain(d)
     pos = d.positive_part()
     if pos is None:
-        return ExtremalResult(ExtremalParameter.GAMMA_MIN_FOREST, d.n, chain)
+        return ExtremalResult(d.n)
     p = pos.n
     k1 = p - annihilation(pos)
     # k2 matters only below k1, where the surplus total - 2 * prefix(k) is
@@ -396,13 +362,7 @@ def gamma_min_forest(d: DegreeSequence) -> ExtremalResult:
     else:
         witness = independent_tail_forest(pos, k1)
         best = k1
-    return ExtremalResult(
-        ExtremalParameter.GAMMA_MIN_FOREST,
-        best + d.n0,
-        chain,
-        achieving_k=best,
-        witness=witness,
-    )
+    return ExtremalResult(best + d.n0, best, witness)
 
 
 def alpha_max_forest(d: DegreeSequence) -> ExtremalResult:
@@ -415,16 +375,13 @@ def alpha_max_forest(d: DegreeSequence) -> ExtremalResult:
     """
     if not is_forest_sequence(d):
         raise NotForestSequence(f"{d.entries} is not a forest sequence")
-    chain = bound_chain(d)
-    k = d.n - chain.annihilation
+    k = d.n - annihilation(d)
     edges = _independent_tail_edges(d.entries[: d.positive_count], k)
     claims = {WitnessClaim.IS_FOREST, WitnessClaim.TAIL_INDEPENDENT}
     if d.n0 == 0:
         claims.add(WitnessClaim.HEAD_DOMINATING)  # isolated vertices break this
     witness = RealizationWitness.checked(Graph(d.n, edges), d, k, claims)
-    return ExtremalResult(
-        ExtremalParameter.ALPHA_MAX_FOREST, d.n - k, chain, achieving_k=k, witness=witness
-    )
+    return ExtremalResult(d.n - k, k, witness)
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,10 @@ edge list and its degrees: each edge is stored once as (u, v) with u < v,
 and the list is sorted, so memory grows with the edge count.  Construction
 orients and sorts the edges, then checks them in a few C-level passes (the
 range, u < v for a self-loop, and equal neighbours after the sort for a
-repeated edge); only on failure, or on the ``TypeError`` a non-integer
-count or vertex id raises, are the input edges rescanned, so the error
-names the first bad one.  The exact solvers derive their own
-bitmasks from the edge list.
+repeated edge); only on failure, or on the error a non-integer count or
+vertex id or an edge that is not a pair raises, are the input edges
+rescanned, so the error names the first bad one.  The exact solvers
+derive their own bitmasks from the edge list.
 
 The head is the vertex range 0..k-1, so the edges with an end in the head
 are the sorted prefix that ``bisect_left(edges, (k,))`` cuts off.  Witness
@@ -61,7 +61,10 @@ class Graph:
         try:
             if n < 0:
                 raise ValueError("vertex count must be non-negative")
-            ordered = sorted([(u, v) if u < v else (v, u) for u, v in edges])
+            try:
+                ordered = sorted([(u, v) if u < v else (v, u) for u, v in edges])
+            except ValueError:  # an edge of more or fewer than two vertices
+                raise _first_bad_edge(n, edges) from None
             if ordered:
                 heads = list(map(_first, ordered))
                 ends = list(map(_second, ordered))
@@ -77,7 +80,7 @@ class Graph:
             for u, v in ordered:
                 degrees[u] += 1
                 degrees[v] += 1
-        except TypeError:  # a count or vertex id that is not an integer
+        except TypeError:  # a count or vertex id that is not an integer, or a non-iterable edge
             raise _first_bad_edge(n, edges) from None
         self.n = n
         self._edges = ordered
@@ -140,17 +143,21 @@ class Graph:
 
 
 def _first_bad_edge(n: int, edges: list[tuple[int, int]], base: int = 0) -> ValueError:
-    """The error for the first edge that is out of range, a loop or a repeat.
+    """The error for the first edge that is not a pair, out of range, a loop or a repeat.
 
     A vertex count or id that ``operator.index`` refuses (a float, a
-    string, None; bools pass) is named first, as it is.  Otherwise the
-    message numbers vertices from ``base``: 0 as the graph does, 1 as the
-    graph files do.
+    string, None; bools pass) is named first, as it is, and so is an edge
+    that does not unpack into two vertices.  Otherwise the message numbers
+    vertices from ``base``: 0 as the graph does, 1 as the graph files do.
     """
     if not hasattr(type(n), "__index__"):
         return ValueError(f"vertex count {n!r} is not an integer")
     seen: set[tuple[int, int]] = set()
-    for u, v in edges:
+    for edge in edges:
+        try:
+            u, v = edge
+        except (TypeError, ValueError):
+            return ValueError(f"edge {edge!r} is not a pair of vertices")
         for x in (u, v):
             if not hasattr(type(x), "__index__"):
                 return ValueError(f"vertex {x!r} is not an integer")

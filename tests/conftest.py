@@ -546,3 +546,105 @@ def combinations_with_replacement_list(items, size):
     from itertools import combinations_with_replacement
 
     return combinations_with_replacement(items, size)
+
+
+# ---------------------------------------------------------------------------
+# an independent refutation of small domination numbers: its own graphicality
+# and Gale-Ryser tests, and nothing from the extremal or bipartite modules
+
+
+def erdos_gallai(degrees) -> bool:
+    """Is this list of non-negative integers graphic (Erdos-Gallai)?"""
+    d = sorted(degrees, reverse=True)
+    if sum(d) % 2:
+        return False
+    left = 0
+    for k in range(1, len(d) + 1):
+        left += d[k - 1]
+        if left > k * (k - 1) + sum(min(x, k) for x in d[k:]):
+            return False
+    return True
+
+
+def gale_ryser(left, right) -> bool:
+    """Is there a simple bipartite graph with these side degrees (Gale-Ryser)?"""
+    if sum(left) != sum(right):
+        return False
+    prefix = 0
+    for k, x in enumerate(sorted(left, reverse=True), 1):
+        prefix += x
+        if prefix > sum(min(y, k) for y in right):
+            return False
+    return True
+
+
+def _bounded_compositions(caps: list[int], total: int):
+    """Every tuple c with 0 <= c[i] <= caps[i] and sum(c) == total."""
+    if not caps:
+        if total == 0:
+            yield ()
+        return
+    for c in range(min(caps[0], total), -1, -1):
+        for rest in _bounded_compositions(caps[1:], total - c):
+            yield (c,) + rest
+
+
+def _cross_profiles(degrees: list[int], low: int, cap: int, totals) -> dict[int, list[tuple]]:
+    """One side's cross-edge counts that leave it a graphic remainder, by total.
+
+    Each vertex sends low..min(degree, cap) edges across, and only totals in
+    ``totals`` are kept.  Vertices of equal degree are interchangeable, so
+    their counts are listed non-increasing; every other per-vertex profile
+    is listed.
+    """
+    out: dict[int, list[tuple]] = {}
+    prof: list[int] = []
+    tops = [min(d, cap) for d in degrees]
+    room = [sum(tops[i:]) for i in range(len(degrees) + 1)]  # most the rest can send
+    least, most = min(totals, default=0), max(totals, default=-1)
+
+    def rec(i: int, sent: int) -> None:
+        if sent + room[i] < least or sent + low * (len(degrees) - i) > most:
+            return
+        if i == len(degrees):
+            if sent in totals and erdos_gallai([d - x for d, x in zip(degrees, prof)]):
+                out.setdefault(sent, []).append(tuple(prof))
+            return
+        hi = tops[i] if not i or degrees[i] != degrees[i - 1] else min(tops[i], prof[-1])
+        for x in range(low, hi + 1):
+            prof.append(x)
+            rec(i + 1, sent + x)
+            prof.pop()
+
+    rec(0, 0)
+    return out
+
+
+def dominating_set_possible(entries, s: int) -> bool:
+    """Does some realization of ``entries`` have a dominating set of size s?
+
+    Let S take s of the entries and T the rest.  The S-S, T-T and S-T edges
+    are disjoint, so a realization in which S dominates T exists iff cross
+    counts x >= 0 on S and y >= 1 on T with equal sums leave graphic
+    remainders on both sides and pass Gale-Ryser.  Every multiset of degrees
+    for S and every per-vertex profile is tried, so nothing is assumed about
+    which degrees a minimum dominating set takes, whether its vertices have
+    private neighbours outside it, or how a class of equal degrees spreads
+    its cross edges.  A False answer refutes every smaller s too, as adding
+    a vertex keeps a set dominating.
+    """
+    values = sorted(set(entries), reverse=True)
+    counts = [list(entries).count(v) for v in values]
+    for take in _bounded_compositions(counts, s):
+        head = [v for v, c in zip(values, take) for _ in range(c)]
+        tail = [v for v, c, k in zip(values, counts, take) for _ in range(c - k)]
+        # each T vertex takes from 1 to min(d, s) cross edges
+        totals = range(len(tail), sum(min(v, s) for v in tail) + 1)
+        lefts = _cross_profiles(head, 0, len(tail), totals)
+        if not lefts:
+            continue
+        rights = _cross_profiles(tail, 1, s, lefts.keys())
+        for total in rights:
+            if any(gale_ryser(x, y) for x in lefts[total] for y in rights[total]):
+                return True
+    return False

@@ -234,6 +234,35 @@ def test_output_is_byte_deterministic():
         assert first == second
 
 
+def test_extremal_commands_name_their_parameter_under_wrapped_functions(monkeypatch):
+    # a tracer replaces the extremal functions with pass-through wrappers,
+    # all named "traced", before the parser binds them: the reports must not
+    # take the parameter name from the function
+    from degseqopt import cli, extremal
+
+    commands = [
+        ["gamma-min", "3,2,2,2,1,1,1,0", "--witness", "--json"],
+        ["omega-max", "3,2,2,2,1,1,1,0"],
+        ["alpha-max", "3,2,2,2,1,1,1,0", "--json"],
+        ["forest", "gamma-min", "3,2,2,2,1,1,1,0", "--witness", "--json"],
+        ["forest", "alpha-max", "3,2,2,2,1,1,1,0", "--witness", "--json"],
+    ]
+    plain = [run_argv(argv) for argv in commands]
+    calls = []
+
+    def wrap(func):
+        def traced(*args, **kwargs):
+            calls.append(func)
+            return func(*args, **kwargs)
+        return traced
+
+    for name in ("gamma_min_bounded", "omega_max", "alpha_max", "gamma_min_forest",
+                 "alpha_max_forest"):
+        monkeypatch.setattr(extremal, name, wrap(getattr(extremal, name)))
+    assert [run(cli._build_parser().parse_args(argv)) for argv in commands] == plain
+    assert len(set(calls)) == 5
+
+
 def test_cli_subprocess_smoke():
     proc = run_cli_process(["bounds", "2,2,2,1,1,1,1,1,1"])
     assert proc.returncode == 0

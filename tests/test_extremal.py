@@ -33,7 +33,12 @@ from degseqopt import (
 )
 
 from conftest import (
+    bipartite_exact_hh,
+    dominating_set_possible,
+    erdos_gallai,
+    gale_ryser,
     gamma_min_forest_fastpath,
+    graphic_havel_hakimi,
     has_edge,
     profiles_by_sum,
     rao_clique_feasible_positional,
@@ -506,6 +511,74 @@ def test_forest_extrema_bracketed_by_general_extrema():
             assert alpha_max(d).value >= alpha_max_forest(d).value
 
 
+def assert_extremal_postconditions(d, res, parameter):
+    """What each result must satisfy beside its value's exactness."""
+    if parameter in ("gamma_min", "gamma_min_forest"):
+        assert res.value >= slater(d), d.entries
+        if res.witness is None:  # only a sequence of zeros has no positive part
+            assert (res.value, res.achieving_k) == (d.n, None) and d.positive_count == 0
+        else:
+            assert res.witness.split_k == res.achieving_k, d.entries
+            assert WitnessClaim.HEAD_DOMINATING in res.witness.claims, d.entries
+            assert res.value == res.achieving_k + d.n0, d.entries
+    elif parameter in ("alpha_max", "alpha_max_forest"):
+        assert res.value <= annihilation(d), d.entries
+        if res.witness is not None:
+            assert WitnessClaim.TAIL_INDEPENDENT in res.witness.claims, d.entries
+            assert res.witness.graph.n - res.witness.split_k == res.value, d.entries
+        else:
+            assert parameter == "alpha_max" and res.achieving_k is None
+    else:
+        assert 1 <= res.value <= d.max_entry + 1, d.entries
+        assert res.achieving_k is None and res.witness is None
+
+
+_GENERAL = {"gamma_min": gamma_min_bounded, "alpha_max": alpha_max, "omega_max": omega_max}
+_FOREST = {"gamma_min_forest": gamma_min_forest, "alpha_max_forest": alpha_max_forest}
+
+
+def test_every_extremal_result_meets_its_postconditions():
+    checks = []  # (functions by parameter name, sequence)
+    for n in range(1, 10):  # zero entries included
+        for seq in iter_degree_sequences(n):
+            d = normalize(seq)
+            if is_graphic(d):
+                checks.append((_GENERAL, d))
+            if is_forest_sequence(d):
+                checks.append((_FOREST, d))
+    rng = random.Random(26)
+    for n in range(10, 41, 2):  # near-uniform, maximum entry at most 6
+        delta = rng.randint(3, 6)
+        entries = [1 + i % delta for i in range(n)]
+        for _ in range(n // 4):
+            i, j = rng.randrange(n), rng.randrange(n)
+            if entries[i] < delta and entries[j] > 1:
+                entries[i] += 1
+                entries[j] -= 1
+        if sum(entries) % 2:
+            entries[entries.index(delta)] -= 1
+        if is_graphic(normalize(entries)):
+            checks.append(({"gamma_min": gamma_min_bounded}, normalize(entries)))
+    for n in (100, 250, 500, 1000):
+        trees = 1 + rng.randint(0, n // 10)
+        degrees = [1] * n  # a Pruefer tree, then a forest of several trees
+        for _ in range(n - 2):
+            degrees[rng.randrange(n)] += 1
+        spread = [1] * n
+        for _ in range(n - 2 * trees):
+            spread[rng.randrange(n)] += 1
+        for entries in ([2] * (n - 2) + [1, 1], degrees, spread + [0] * rng.randint(1, n // 5)):
+            checks.append((_FOREST, normalize(entries)))
+    for n in (50, 100, 200, 400):
+        for p in (0.02, 0.9):  # sparse and dense
+            checks.append(({"alpha_max": alpha_max},
+                           normalize(random_graph(rng, n, p).degrees)))
+    assert len(checks) > 6000
+    for functions, d in checks:
+        for parameter, func in functions.items():
+            assert_extremal_postconditions(d, func(d), parameter)
+
+
 def path(n):
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
@@ -613,6 +686,59 @@ def test_general_formulas_match_the_oracle_at_n10():
         assert gamma_min_bounded(d).value == rep.gamma_min, d.entries
         assert alpha_max(d).value == rep.alpha_max, d.entries
         assert omega_max(d).value == rep.omega_max, d.entries
+
+
+def test_the_refutation_checks_own_graphicality_and_gale_ryser_tests():
+    from itertools import product
+
+    for n in range(8):
+        for seq in product(range(n + 1), repeat=n) if n < 6 else iter_degree_sequences(n, n):
+            assert erdos_gallai(seq) == graphic_havel_hakimi(seq), seq
+    for a, b in product(range(4), repeat=2):
+        for left in product(range(b + 1), repeat=a):
+            for right in product(range(a + 1), repeat=b):
+                assert gale_ryser(left, right) == bipartite_exact_hh(left, right), (left, right)
+
+
+def test_the_refutation_check_settles_gamma_min_on_every_sequence_to_n8():
+    # possible at gamma_min and refuted one below, zero entries included
+    for n in range(1, 9):
+        for seq in iter_degree_sequences(n):
+            d = normalize(seq)
+            if is_graphic(d):
+                gamma = gamma_min_bounded(d).value
+                assert dominating_set_possible(d.entries, gamma), seq
+                assert not dominating_set_possible(d.entries, gamma - 1), seq
+
+
+def test_gamma_min_bounded_is_refuted_one_below_past_the_oracle():
+    # The scan assumes that the head is the largest degrees, that every head
+    # vertex has a cross edge, and that a class of equal degrees may spread
+    # its cross edges evenly.  dominating_set_possible assumes none of them,
+    # so refuting gamma_min - 1 with it is an independent lower bound.
+    cases = [normalize(seq) for seq in (  # hubs and leaves, the scan's hard families
+        [6] * 8 + [1] * 24, [6] * 10 + [1] * 30, [7] * 10 + [2] * 6 + [1] * 40,
+        [9] * 15 + [1] * 59, [12] * 20 + [1] * 100,
+    )]
+    rng = random.Random(1507)
+    while len(cases) < 120:
+        n = rng.randint(15, 40)
+        if len(cases) % 3:  # few hubs of one degree, a few middles, many leaves
+            hubs, mid = rng.randint(3, 10), rng.randint(0, 6)
+            entries = [rng.randint(3, 9)] * hubs + [rng.randint(2, 4)] * mid
+            entries += [1] * (n - hubs - mid)
+        else:
+            delta = rng.randint(2, 5)
+            entries = [rng.randint(1, delta) for _ in range(n)]
+        entries[-1] += sum(entries) % 2
+        if is_graphic(normalize(entries)):
+            cases.append(normalize(entries))
+    above = 0
+    for d in cases:
+        gamma = gamma_min_bounded(d).value
+        assert not dominating_set_possible(d.entries, gamma - 1), d.entries
+        above += gamma > slater(d)
+    assert 20 < above < len(cases) - 20  # both gamma_min = Slater and above it
 
 
 def test_forest_formulas_match_the_forest_oracle_at_n10_to_12():

@@ -136,7 +136,7 @@ def test_public_surface_is_pinned():
     # bitmasks without the graph model
     assert sorted(degseqopt.__all__) == [
         "BipartiteDegreeSpec", "BoundChain", "DEFAULT_ORACLE_LIMITS", "DEFAULT_SOLVER_LIMIT",
-        "DegSeqOptError", "DegreeSequence", "ExtremalParameter", "ExtremalResult", "Graph",
+        "DegSeqOptError", "DegreeSequence", "ExtremalResult", "Graph",
         "GraphClass", "Infeasible", "InvalidSequence", "InvalidWitness", "NotConnected",
         "NotForestSequence", "NotGraphic", "OracleReport", "PreconditionViolated",
         "RealizationWitness", "SlaterBoundReport", "TooLarge", "WitnessClaim", "WitnessReport",
@@ -340,6 +340,22 @@ def test_graph_errors_name_the_first_bad_edge(edges, message):
 def test_graph_refuses_vertex_ids_and_counts_that_are_not_integers(n, edges, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         Graph(n, edges)
+
+
+@pytest.mark.parametrize("edges, message", [
+    ([5], "edge 5 is not a pair of vertices"),
+    ([None], "edge None is not a pair of vertices"),
+    ([(0, 1, 2)], "edge (0, 1, 2) is not a pair of vertices"),
+    ([(0,)], "edge (0,) is not a pair of vertices"),
+    # the first bad edge in input order is named, whatever is wrong with it
+    ([(0, 1), 5, (0, 7)], "edge 5 is not a pair of vertices"),
+    ([(0, 1), (0, 7), (1, 2, 0)], "edge (0, 7) out of range for n=3"),
+])
+def test_graph_names_an_edge_that_is_not_a_pair(edges, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Graph(3, edges)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Graph(3, iter(edges))
 
 
 def test_graph_takes_bools_as_vertex_ids_and_counts():
